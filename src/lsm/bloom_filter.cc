@@ -58,13 +58,19 @@ uint64_t FilterHash(Slice data, uint64_t seed) {
   return h;
 }
 
+uint64_t FilterKeyHash(Slice key) { return FilterHash(key, kKeyDomainSeed); }
+
 BloomFilterBuilder::BloomFilterBuilder(uint32_t bits_per_key)
     : bits_per_key_(bits_per_key < 1 ? 1 : bits_per_key) {}
 
 void BloomFilterBuilder::AddKey(Slice key) {
-  key_hashes_.push_back(FilterHash(key, kKeyDomainSeed));
   char prefix[kPrefixSize];
   MakePrefix(key, prefix);
+  AddKeyHash(FilterKeyHash(key), prefix);
+}
+
+void BloomFilterBuilder::AddKeyHash(uint64_t key_hash, const char* prefix) {
+  key_hashes_.push_back(key_hash);
   // Keys arrive in sorted order (the compaction merge), so equal prefixes are
   // consecutive and one fingerprint per run suffices.
   if (!has_last_prefix_ || memcmp(prefix, last_prefix_, kPrefixSize) != 0) {
@@ -172,7 +178,7 @@ bool BloomFilterView::MayContainHash(uint64_t h) const {
 }
 
 bool BloomFilterView::MayContain(Slice key) const {
-  return MayContainHash(FilterHash(key, kKeyDomainSeed));
+  return MayContainHash(FilterKeyHash(key));
 }
 
 bool BloomFilterView::MayContainPrefix(Slice key_or_prefix) const {

@@ -39,6 +39,9 @@ inline constexpr size_t kFilterTrailerSize = 4;  // crc32c
 // prefix fingerprint domains within one bit array.
 uint64_t FilterHash(Slice data, uint64_t seed);
 
+// Full-key fingerprint: FilterHash of `key` in the key domain.
+uint64_t FilterKeyHash(Slice key);
+
 // Accumulates fingerprints during a compaction merge (keys arrive in sorted
 // order, so consecutive duplicate prefixes collapse) and serializes the block
 // once the entry count is known.
@@ -50,10 +53,17 @@ class BloomFilterBuilder {
   // fingerprint of `key`.
   void AddKey(Slice key);
 
+  // Same, from a key's FilterKeyHash and its zero-padded kPrefixSize prefix
+  // (a leaf entry's prefix): the compaction merge adds keys it never loads.
+  void AddKeyHash(uint64_t key_hash, const char* prefix);
+
   size_t num_keys() const { return key_hashes_.size(); }
 
   // Serializes the filter block; empty string when no keys were added.
   std::string Finish() const;
+
+  // Moves out the full-key fingerprints, in the order the keys were added.
+  std::vector<uint64_t> TakeKeyHashes() { return std::move(key_hashes_); }
 
  private:
   const uint32_t bits_per_key_;

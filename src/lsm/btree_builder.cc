@@ -52,25 +52,58 @@ BTreeBuilder::LevelState& BTreeBuilder::Level(size_t level) {
 }
 
 Status BTreeBuilder::Add(Slice key, uint64_t log_offset) {
-  if (finished_) {
-    return Status::FailedPrecondition("builder already finished");
-  }
   if (key.empty() || key.size() > kMaxKeySize) {
     return Status::InvalidArgument("bad key size");
   }
-  if (!last_key_.empty() && Slice(last_key_).Compare(key) >= 0) {
-    return Status::InvalidArgument("keys must be strictly ascending");
+  LeafEntry entry;
+  entry.log_offset = log_offset;
+  entry.key_size = static_cast<uint32_t>(key.size());
+  MakePrefix(key, entry.prefix);
+  return AddEntry(entry, key, std::nullopt, /*tombstone=*/false);
+}
+
+bool BTreeBuilder::NextEntryOpensLeaf() const {
+  return levels_.empty() || levels_[0]->leaf->count() == 0;
+}
+
+Status BTreeBuilder::AddEntry(const LeafEntry& entry, Slice key,
+                              std::optional<uint64_t> key_hash, bool tombstone) {
+  if (finished_) {
+    return Status::FailedPrecondition("builder already finished");
+  }
+  if (entry.key_size == 0 || entry.key_size > kMaxKeySize ||
+      (!key.empty() && key.size() != entry.key_size)) {
+    return Status::InvalidArgument("bad key size");
+  }
+  if (num_entries_ > 0) {
+    bool decided;
+    int c = CompareLeafKeys(last_entry_.prefix, last_entry_.key_size, entry.prefix,
+                            entry.key_size, &decided);
+    if (!decided && !last_key_.empty() && !key.empty()) {
+      c = Slice(last_key_).Compare(key);
+      decided = true;
+    }
+    if (decided && c >= 0) {
+      return Status::InvalidArgument("keys must be strictly ascending");
+    }
+  }
+  const bool opens_leaf = NextEntryOpensLeaf();
+  if (key.empty() && (opens_leaf || (filter_builder_ != nullptr && !key_hash.has_value()))) {
+    return Status::InvalidArgument("entry needs its full key");
   }
   LevelState& leaves = Level(0);
-  if (leaves.leaf->count() == 0) {
+  if (opens_leaf) {
     leaves.first_key = key.ToString();
   }
-  leaves.leaf->Add(key, log_offset);
+  leaves.leaf->AddEntry(entry);
   if (filter_builder_ != nullptr) {
-    filter_builder_->AddKey(key);
+    filter_builder_->AddKeyHash(key_hash.has_value() ? *key_hash : FilterKeyHash(key),
+                                entry.prefix);
   }
+  tombstones_.push_back(tombstone);
   num_entries_++;
-  last_key_ = key.ToString();
+  last_entry_ = entry;
+  last_key_.assign(key.data(), key.size());
   if (leaves.leaf->Full()) {
     TEBIS_RETURN_IF_ERROR(CompleteLeafNode());
   }
@@ -206,9 +239,13 @@ StatusOr<BuiltTree> BTreeBuilder::Finish() {
     }
     tree.seg_checksums.push_back(it->second);
   }
+  auto companion = std::make_shared<MergeCompanion>();
   if (filter_builder_ != nullptr && filter_builder_->num_keys() > 0) {
     tree.filter = std::make_shared<const std::string>(filter_builder_->Finish());
+    companion->key_hashes = filter_builder_->TakeKeyHashes();
   }
+  companion->tombstones = std::move(tombstones_);
+  tree.companion = std::move(companion);
   return tree;
 }
 

@@ -10,6 +10,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -31,6 +32,16 @@ struct SegmentChecksum {
   }
 };
 
+// In-memory companion of a built tree, in entry order: what the next merge
+// of the level would otherwise read from the value log for every entry. It
+// lives only as long as the process holds the tree — never persisted, never
+// shipped — so trees recovered from a checkpoint or promoted from a backup
+// have none, and their next merge reads every key.
+struct MergeCompanion {
+  std::vector<uint64_t> key_hashes;  // FilterKeyHash per entry; empty when built without a filter
+  std::vector<bool> tombstones;      // record flag per entry
+};
+
 // A finished on-device B+ tree (one LSM level).
 struct BuiltTree {
   uint64_t root_offset = kInvalidOffset;
@@ -49,6 +60,9 @@ struct BuiltTree {
   // stores, trees assembled before this field existed); read-path verification
   // then degrades to the structural node checks.
   std::vector<SegmentChecksum> seg_checksums;
+  // Set by the builder; dropped by every path that copies the tree off this
+  // process (manifest, wire), which rebuild the struct field by field.
+  std::shared_ptr<const MergeCompanion> companion;
 
   bool empty() const { return root_offset == kInvalidOffset; }
   bool checksummed() const {
@@ -83,6 +97,20 @@ class BTreeBuilder {
   // Adds the next entry. Keys must arrive in strictly ascending order.
   Status Add(Slice key, uint64_t log_offset);
 
+  // Adds the next entry from its leaf fields. `key` is the full key, or empty
+  // when the caller has not loaded it; it is required when
+  // NextEntryOpensLeaf() (the key becomes an index pivot) and when
+  // wants_key_hash() and no `key_hash` (FilterKeyHash of the key) is given.
+  // Ascending order is checked as far as the leaf fields and the known keys
+  // decide it. `tombstone` is recorded in the tree's companion.
+  Status AddEntry(const LeafEntry& entry, Slice key, std::optional<uint64_t> key_hash,
+                  bool tombstone);
+
+  // True when the next entry starts a new leaf node.
+  bool NextEntryOpensLeaf() const;
+  // True when entries feed a filter and so need a key fingerprint.
+  bool wants_key_hash() const { return filter_builder_ != nullptr; }
+
   // Completes all partial nodes and segments and returns the tree. The
   // builder must not be reused afterwards.
   StatusOr<BuiltTree> Finish();
@@ -104,7 +132,10 @@ class BTreeBuilder {
 
   std::vector<std::unique_ptr<LevelState>> levels_;
   std::unique_ptr<class BloomFilterBuilder> filter_builder_;
-  std::string last_key_;  // for ascending-order enforcement
+  // Ascending-order enforcement: the last entry and its key, when known.
+  LeafEntry last_entry_{};
+  std::string last_key_;
+  std::vector<bool> tombstones_;  // companion flags, in entry order
   uint64_t num_entries_ = 0;
   uint64_t bytes_written_ = 0;
   std::vector<SegmentId> segments_;

@@ -12,28 +12,22 @@ NodeHeader* MutableHeader(char* data) { return reinterpret_cast<NodeHeader*>(dat
 
 // --- LeafNodeView ---------------------------------------------------------
 
-StatusOr<int> LeafNodeView::CompareEntry(
-    uint32_t i, Slice key, const std::function<StatusOr<std::string>(uint64_t)>& full_key) const {
+StatusOr<int> LeafNodeView::CompareEntry(uint32_t i, Slice key,
+                                         const FullKeyLoader& full_key) const {
   const LeafEntry& e = entry(i);
-  int c = ComparePrefix(e.prefix, key);
-  if (c != 0) {
+  char probe[kPrefixSize];
+  MakePrefix(key, probe);
+  bool decided;
+  const int c =
+      CompareLeafKeys(e.prefix, e.key_size, probe, static_cast<uint32_t>(key.size()), &decided);
+  if (decided) {
     return c;
   }
-  // Prefixes tie. If both keys fit entirely in the prefix, the zero padding
-  // already decided equality for equal sizes; sizes break the remaining ties
-  // only when both fit.
-  if (e.key_size <= kPrefixSize && key.size() <= kPrefixSize) {
-    if (e.key_size == key.size()) {
-      return 0;
-    }
-    return e.key_size < key.size() ? -1 : 1;
-  }
-  TEBIS_ASSIGN_OR_RETURN(std::string stored, full_key(e.log_offset));
+  TEBIS_ASSIGN_OR_RETURN(std::string stored, full_key(e.log_offset, e.key_size));
   return Slice(stored).Compare(key);
 }
 
-StatusOr<uint32_t> LeafNodeView::LowerBound(
-    Slice key, const std::function<StatusOr<std::string>(uint64_t)>& full_key) const {
+StatusOr<uint32_t> LeafNodeView::LowerBound(Slice key, const FullKeyLoader& full_key) const {
   uint32_t lo = 0;
   uint32_t hi = num_entries();
   while (lo < hi) {
@@ -48,8 +42,7 @@ StatusOr<uint32_t> LeafNodeView::LowerBound(
   return lo;
 }
 
-StatusOr<uint32_t> LeafNodeView::Find(
-    Slice key, const std::function<StatusOr<std::string>(uint64_t)>& full_key) const {
+StatusOr<uint32_t> LeafNodeView::Find(Slice key, const FullKeyLoader& full_key) const {
   TEBIS_ASSIGN_OR_RETURN(uint32_t i, LowerBound(key, full_key));
   if (i >= num_entries()) {
     return Status::NotFound();
@@ -72,12 +65,17 @@ LeafNodeBuilder::LeafNodeBuilder(char* data, size_t node_size)
 }
 
 void LeafNodeBuilder::Add(Slice key, uint64_t log_offset) {
-  assert(!Full());
-  auto* entries = reinterpret_cast<LeafEntry*>(data_ + sizeof(NodeHeader));
-  LeafEntry& e = entries[count_++];
+  LeafEntry e;
   e.log_offset = log_offset;
   e.key_size = static_cast<uint32_t>(key.size());
   MakePrefix(key, e.prefix);
+  AddEntry(e);
+}
+
+void LeafNodeBuilder::AddEntry(const LeafEntry& entry) {
+  assert(!Full());
+  auto* entries = reinterpret_cast<LeafEntry*>(data_ + sizeof(NodeHeader));
+  entries[count_++] = entry;
 }
 
 void LeafNodeBuilder::Finish() {

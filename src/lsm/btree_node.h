@@ -16,6 +16,10 @@ namespace tebis {
 // Translates one device offset; used for backup rewriting.
 using OffsetTranslator = std::function<StatusOr<uint64_t>(uint64_t)>;
 
+// Loads the full key of a leaf entry from the value log, given the entry's
+// log offset and key size (needed when a leaf prefix ties with the probe key).
+using FullKeyLoader = std::function<StatusOr<std::string>(uint64_t log_offset, uint32_t key_size)>;
+
 // --- leaf nodes ---------------------------------------------------------------
 
 // Read-only view of a leaf node buffer.
@@ -34,17 +38,14 @@ class LeafNodeView {
   // Finds the candidate entry for `key`. Prefix comparison decides most
   // cases; when prefixes tie, `full_key` loads the stored key from the value
   // log. On success returns the entry index; NotFound when absent.
-  StatusOr<uint32_t> Find(Slice key,
-                          const std::function<StatusOr<std::string>(uint64_t)>& full_key) const;
+  StatusOr<uint32_t> Find(Slice key, const FullKeyLoader& full_key) const;
 
   // Index of the first entry whose key is >= `key` (num_entries() if none).
-  StatusOr<uint32_t> LowerBound(
-      Slice key, const std::function<StatusOr<std::string>(uint64_t)>& full_key) const;
+  StatusOr<uint32_t> LowerBound(Slice key, const FullKeyLoader& full_key) const;
 
  private:
   // <0 / 0 / >0: entry i vs key. May call full_key.
-  StatusOr<int> CompareEntry(uint32_t i, Slice key,
-                             const std::function<StatusOr<std::string>(uint64_t)>& full_key) const;
+  StatusOr<int> CompareEntry(uint32_t i, Slice key, const FullKeyLoader& full_key) const;
 
   const char* data_;
   size_t node_size_;
@@ -60,6 +61,8 @@ class LeafNodeBuilder {
 
   // Key must be strictly greater than the previous key added.
   void Add(Slice key, uint64_t log_offset);
+  // Same, from an entry whose leaf fields are already known.
+  void AddEntry(const LeafEntry& entry);
 
   // Finalizes the header. The buffer is then a valid leaf node image.
   void Finish();

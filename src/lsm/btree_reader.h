@@ -17,10 +17,6 @@
 
 namespace tebis {
 
-// Loads the full key stored at a value-log offset (needed when a leaf prefix
-// ties with the probe key).
-using FullKeyLoader = std::function<StatusOr<std::string>(uint64_t log_offset)>;
-
 class SegmentVerifier;
 
 class BTreeReader {
@@ -37,6 +33,8 @@ class BTreeReader {
   StatusOr<uint64_t> Find(Slice key, const FullKeyLoader& full_key) const;
 
   Status ReadNode(uint64_t offset, std::string* buf) const;
+
+  const BuiltTree& tree() const { return tree_; }
 
  private:
   BlockDevice* const device_;

@@ -75,13 +75,24 @@ inline void MakePrefix(Slice key, char* prefix) {
   }
 }
 
-// Compares a stored (prefix, key_size) against a probe key using only the
-// prefix. Returns <0/>0 when the order is decided by the prefix alone and 0
-// when the full key is required (prefixes equal).
-inline int ComparePrefix(const char* prefix, Slice key) {
-  char probe[kPrefixSize];
-  MakePrefix(key, probe);
-  return memcmp(prefix, probe, kPrefixSize);
+// Orders two keys known only by their leaf fields (zero-padded prefix and
+// size) and sets *decided. The order is decided unless both keys run past
+// kPrefixSize with equal prefixes: then only the full keys can order them,
+// *decided is false and the result is 0. With equal prefixes, a key that fits
+// in the prefix is a prefix of the other key (its zero padding matches the
+// other key's bytes), so the shorter key sorts first.
+inline int CompareLeafKeys(const char* a_prefix, uint32_t a_size, const char* b_prefix,
+                           uint32_t b_size, bool* decided) {
+  *decided = true;
+  const int c = memcmp(a_prefix, b_prefix, kPrefixSize);
+  if (c != 0) {
+    return c;
+  }
+  if (a_size <= kPrefixSize || b_size <= kPrefixSize) {
+    return a_size == b_size ? 0 : (a_size < b_size ? -1 : 1);
+  }
+  *decided = false;
+  return 0;
 }
 
 // --- index node cells --------------------------------------------------------

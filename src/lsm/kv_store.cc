@@ -290,9 +290,10 @@ KvStore::ReadSnapshot KvStore::TakeReadSnapshot() const {
 }
 
 FullKeyLoader KvStore::LookupKeyLoader() {
-  return [this](uint64_t off) -> StatusOr<std::string> {
+  return [this](uint64_t off, uint32_t key_size) -> StatusOr<std::string> {
     std::string key;
-    TEBIS_RETURN_IF_ERROR(log_->ReadKey(off, &key, nullptr, cache_.get(), IoClass::kLookup));
+    TEBIS_RETURN_IF_ERROR(
+        log_->ReadKey(off, key_size, &key, nullptr, cache_.get(), IoClass::kLookup));
     return key;
   };
 }
@@ -310,7 +311,12 @@ Status KvStore::WriteImpl(Slice key, Slice value, bool tombstone) {
   }
   const uint64_t start_ns = NowNanos();
   Status status = WriteImplInner(key, value, tombstone);
-  const uint64_t end_ns = NowNanos();
+  RecordEngineApply(stages, start_ns, NowNanos(), key.size() + value.size());
+  return status;
+}
+
+void KvStore::RecordEngineApply(RequestStageTimings* stages, uint64_t start_ns, uint64_t end_ns,
+                                uint64_t bytes) {
   stages->engine_ns += end_ns - start_ns;
   const TraceId trace = CurrentRequestTrace();
   TraceBuffer* traces = telemetry_->traces();
@@ -321,10 +327,9 @@ Status KvStore::WriteImpl(Slice key, Slice value, bool tombstone) {
     span.node = node_name_;
     span.start_ns = start_ns;
     span.end_ns = end_ns;
-    span.bytes = key.size() + value.size();
+    span.bytes = bytes;
     traces->Record(std::move(span));
   }
-  return status;
 }
 
 Status KvStore::WriteImplInner(Slice key, Slice value, bool tombstone) {
@@ -366,21 +371,11 @@ Status KvStore::WriteBatch(const std::vector<BatchOp>& ops, std::vector<Status>*
   const uint64_t start_ns = NowNanos();
   Status status = WriteBatchInner(ops, statuses);
   const uint64_t end_ns = NowNanos();
-  stages->engine_ns += end_ns - start_ns;
-  const TraceId trace = CurrentRequestTrace();
-  TraceBuffer* traces = telemetry_->traces();
-  if (trace != kNoTrace && traces->enabled()) {
-    SpanRecord span;
-    span.trace = trace;
-    span.name = "engine_apply";
-    span.node = node_name_;
-    span.start_ns = start_ns;
-    span.end_ns = end_ns;
-    for (const BatchOp& op : ops) {
-      span.bytes += op.key.size() + op.value.size();
-    }
-    traces->Record(std::move(span));
+  uint64_t bytes = 0;
+  for (const BatchOp& op : ops) {
+    bytes += op.key.size() + op.value.size();
   }
+  RecordEngineApply(stages, start_ns, end_ns, bytes);
   return status;
 }
 
@@ -772,13 +767,13 @@ Status KvStore::RunCompaction(const CompactionJob& job) {
   } else if (src_ref != nullptr && !src_ref->tree.empty()) {
     src_src = std::make_unique<LevelMergeSource>(device_, options_.node_size, src_ref->tree,
                                                  log_.get(), src_ref->verifier.get());
-    TEBIS_RETURN_IF_ERROR(src_src->Init());
+    TEBIS_RETURN_IF_ERROR(src_src->InitForMerge());
     sources.push_back(src_src.get());
   }
   if (!dst_ref->tree.empty()) {
     dst_src = std::make_unique<LevelMergeSource>(device_, options_.node_size, dst_ref->tree,
                                                  log_.get(), dst_ref->verifier.get());
-    TEBIS_RETURN_IF_ERROR(dst_src->Init());
+    TEBIS_RETURN_IF_ERROR(dst_src->InitForMerge());
     sources.push_back(dst_src.get());
   }
 
@@ -1013,6 +1008,17 @@ StatusOr<ValueLocation> KvStore::FindLocation(Slice key, const ReadSnapshot& sna
 }
 
 StatusOr<std::string> KvStore::Get(Slice key) {
+  RequestStageTimings* stages = CurrentRequestStages();
+  if (stages == nullptr) {
+    return GetInner(key);
+  }
+  const uint64_t start_ns = NowNanos();
+  StatusOr<std::string> result = GetInner(key);
+  RecordEngineApply(stages, start_ns, NowNanos(), key.size() + (result.ok() ? result->size() : 0));
+  return result;
+}
+
+StatusOr<std::string> KvStore::GetInner(Slice key) {
   const uint64_t cpu_start = ThreadCpuNanos();
   counters_.gets->Increment();
   auto finish = [&](StatusOr<std::string> result) {
@@ -1092,7 +1098,7 @@ StatusOr<std::vector<KvPair>> KvStore::Scan(Slice start, size_t limit) {
     }
     LogRecord rec;
     TEBIS_RETURN_IF_ERROR(
-        log_->ReadRecord(winner.log_offset, &rec, cache_.get(), IoClass::kLookup));
+        log_->ReadRecord(winner.leaf.log_offset, &rec, cache_.get(), IoClass::kLookup));
     out.push_back(KvPair{std::move(rec.key), std::move(rec.value)});
   }
   return out;
@@ -1165,7 +1171,7 @@ StatusOr<std::vector<KvPair>> KvStore::ScanPrefix(Slice prefix, size_t limit) {
     }
     LogRecord rec;
     TEBIS_RETURN_IF_ERROR(
-        log_->ReadRecord(winner.log_offset, &rec, cache_.get(), IoClass::kLookup));
+        log_->ReadRecord(winner.leaf.log_offset, &rec, cache_.get(), IoClass::kLookup));
     out.push_back(KvPair{std::move(rec.key), std::move(rec.value)});
   }
   return out;
@@ -1250,8 +1256,8 @@ StatusOr<KvStore::IntegrityReport> KvStore::CheckIntegrity() {
     while (it.Valid()) {
       std::string key;
       bool tombstone;
-      Status read = log_->ReadKey(it.entry().log_offset, &key, &tombstone, nullptr,
-                                  IoClass::kOther);
+      Status read = log_->ReadKey(it.entry().log_offset, it.entry().key_size, &key, &tombstone,
+                                  nullptr, IoClass::kOther);
       if (!read.ok()) {
         return Status::Corruption("L" + std::to_string(level) + " entry " +
                                   std::to_string(entries) + ": " + read.ToString());

@@ -521,8 +521,13 @@ class KvStore {
   // Request-trace wrapper (PR 10): times the apply and records an
   // "engine_apply" span when the calling thread carries a sampled request
   // scope, then delegates to WriteImplInner. Costs one thread-local load on
-  // untraced calls.
+  // untraced calls. Get and WriteBatch wrap their inner halves the same way.
   Status WriteImpl(Slice key, Slice value, bool tombstone);
+  // Adds [start_ns, end_ns) to the request's engine stage and records the
+  // "engine_apply" span (`bytes` of keys and values) when it is sampled.
+  void RecordEngineApply(RequestStageTimings* stages, uint64_t start_ns, uint64_t end_ns,
+                         uint64_t bytes);
+  StatusOr<std::string> GetInner(Slice key);
   Status WriteImplInner(Slice key, Slice value, bool tombstone);
   Status WriteBatchInner(const std::vector<BatchOp>& ops, std::vector<Status>* statuses);
   // Append + L0 insert without backpressure/seals; requires write_mutex_.

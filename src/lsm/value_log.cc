@@ -363,61 +363,58 @@ Status ValueLog::ReadRecord(uint64_t offset, LogRecord* out, PageCache* cache,
   return Status::Ok();
 }
 
-Status ValueLog::ReadKey(uint64_t offset, std::string* key, bool* tombstone, PageCache* cache,
-                         IoClass io_class) const {
+Status ValueLog::ReadKey(uint64_t offset, uint32_t key_size, std::string* key, bool* tombstone,
+                         PageCache* cache, IoClass io_class) const {
   const SegmentGeometry& geometry = device_->geometry();
   const SegmentId segment = geometry.SegmentOf(offset);
   const uint64_t in_segment = geometry.OffsetInSegment(offset);
-
-  {
-    std::lock_guard<std::mutex> lock(tail_mutex_);
-    const char* tail_ptr = nullptr;
-    if (segment == tail_segment_) {
-      if (in_segment >= tail_used_) {
-        return Status::OutOfRange("offset past log tail");
-      }
-      tail_ptr = tail_buffer_.get() + in_segment;
-    } else if (segment == large_tail_segment_ && large_tail_buffer_ != nullptr) {
-      if (in_segment >= large_tail_used_) {
-        return Status::OutOfRange("offset past large-value log tail");
-      }
-      tail_ptr = large_tail_buffer_.get() + in_segment;
-    }
-    if (tail_ptr != nullptr) {
-      const uint32_t key_size = DecodeU32(tail_ptr);
-      if (key_size == 0 || key_size > kMaxKeySize) {
-        return Status::Corruption("bad key size in tail record");
-      }
-      key->assign(tail_ptr + kLogRecordHeaderSize, key_size);
-      if (tombstone != nullptr) {
-        *tombstone = (tail_ptr[8] & kRecordFlagTombstone) != 0;
-      }
-      return Status::Ok();
-    }
-  }
-
-  auto read = [&](uint64_t off, size_t n, char* dst) -> Status {
-    if (cache != nullptr) {
-      return cache->Read(off, n, dst, io_class);
-    }
-    return device_->Read(off, n, dst, io_class);
-  };
-  char header[kLogRecordHeaderSize];
-  TEBIS_RETURN_IF_ERROR(read(offset, kLogRecordHeaderSize, header));
-  const uint32_t key_size = DecodeU32(header);
-  if (key_size == 0 || key_size == kPadMarker || key_size > kMaxKeySize) {
-    return Status::Corruption("bad key size in log record");
-  }
-  if (kLogRecordHeaderSize + static_cast<uint64_t>(key_size) >
-      geometry.segment_size() - in_segment) {
-    return Status::Corruption("record key overruns segment at offset " +
+  const size_t need = kLogRecordHeaderSize + key_size;
+  if (key_size == 0 || key_size > kMaxKeySize || need > geometry.segment_size() - in_segment) {
+    return Status::Corruption("bad leaf key size " + std::to_string(key_size) + " at offset " +
                               std::to_string(offset));
   }
-  if (tombstone != nullptr) {
-    *tombstone = (header[8] & kRecordFlagTombstone) != 0;
+  // Header and key in one transfer; the header then vouches for the size.
+  char buf[kLogRecordHeaderSize + kMaxKeySize];
+  bool from_tail = false;
+  {
+    std::lock_guard<std::mutex> lock(tail_mutex_);
+    const char* tail = nullptr;
+    uint64_t used = 0;
+    if (segment == tail_segment_) {
+      tail = tail_buffer_.get();
+      used = tail_used_;
+    } else if (segment == large_tail_segment_ && large_tail_buffer_ != nullptr) {
+      tail = large_tail_buffer_.get();
+      used = large_tail_used_;
+    }
+    if (tail != nullptr) {
+      if (in_segment >= used) {
+        return Status::OutOfRange("offset past log tail");
+      }
+      if (in_segment + need > used) {
+        return Status::Corruption("leaf key size " + std::to_string(key_size) +
+                                  " overruns the log tail at offset " + std::to_string(offset));
+      }
+      memcpy(buf, tail + in_segment, need);
+      from_tail = true;
+    }
   }
-  key->resize(key_size);
-  return read(offset + kLogRecordHeaderSize, key_size, key->data());
+  if (!from_tail) {
+    TEBIS_RETURN_IF_ERROR(cache != nullptr ? cache->Read(offset, need, buf, io_class)
+                                           : device_->Read(offset, need, buf, io_class));
+  }
+  const uint32_t stored_size = DecodeU32(buf);
+  if (stored_size != key_size) {
+    return Status::Corruption("leaf key size " + std::to_string(key_size) +
+                              " disagrees with log record header (" +
+                              std::to_string(stored_size) + ") at offset " +
+                              std::to_string(offset));
+  }
+  key->assign(buf + kLogRecordHeaderSize, key_size);
+  if (tombstone != nullptr) {
+    *tombstone = (buf[8] & kRecordFlagTombstone) != 0;
+  }
+  return Status::Ok();
 }
 
 Status ValueLog::TrimHead(size_t n) {

@@ -128,10 +128,12 @@ class ValueLog {
   // go through it; otherwise straight to the device with `io_class`.
   Status ReadRecord(uint64_t offset, LogRecord* out, PageCache* cache, IoClass io_class) const;
 
-  // Reads only the key (and tombstone flag) of the record at `offset` — used
-  // by compaction merges, which never need the value.
-  Status ReadKey(uint64_t offset, std::string* key, bool* tombstone, PageCache* cache,
-                 IoClass io_class) const;
+  // Reads only the key (and tombstone flag) of the record at `offset`, whose
+  // key is `key_size` bytes long (the leaf entry's size) — used by compaction
+  // merges and prefix-tie lookups, which never need the value. One read of
+  // header and key; a header that disagrees with `key_size` is Corruption.
+  Status ReadKey(uint64_t offset, uint32_t key_size, std::string* key, bool* tombstone,
+                 PageCache* cache, IoClass io_class) const;
 
   SegmentId tail_segment() const {
     std::lock_guard<std::mutex> lock(tail_mutex_);

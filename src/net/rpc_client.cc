@@ -40,6 +40,26 @@ RpcClientStats RpcClient::stats() const {
   return s;
 }
 
+void RpcClient::CountCallEvent(CallEvent event) {
+  switch (event) {
+    case CallEvent::kCall:
+      stats_.calls->Increment();
+      break;
+    case CallEvent::kAttempt:
+      stats_.attempts->Increment();
+      break;
+    case CallEvent::kSendFailure:
+      stats_.send_failures->Increment();
+      break;
+    case CallEvent::kReplyTimeout:
+      stats_.reply_timeouts->Increment();
+      break;
+    case CallEvent::kExhausted:
+      stats_.exhausted->Increment();
+      break;
+  }
+}
+
 void RpcClient::Poll() {
   for (auto it = pending_.begin(); it != pending_.end();) {
     Pending& p = it->second;

@@ -94,6 +94,12 @@ class RpcClient {
   void set_retry_policy(const RpcRetryPolicy& policy) { retry_policy_ = policy; }
   RpcClientStats stats() const;
 
+  // For callers that run their own retry loop over SendRequest/TryGetReply
+  // (the replication channel's per-stream slots): counts one event on the
+  // same net.rpc_* instrument Call() uses for it. Thread-safe.
+  enum class CallEvent { kCall, kAttempt, kSendFailure, kReplyTimeout, kExhausted };
+  void CountCallEvent(CallEvent event);
+
  private:
   struct Instruments {
     Counter* calls = nullptr;

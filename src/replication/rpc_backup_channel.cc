@@ -69,14 +69,18 @@ RpcBackupChannel::ClientSlot* RpcBackupChannel::SlotFor(StreamId stream) {
 
 StatusOr<RpcReply> RpcBackupChannel::CallOnSlot(ClientSlot* slot, MessageType type, Slice payload,
                                                 size_t reply_alloc) {
-  // Mirrors RpcClient::Call's retry loop, but holds the slot's client lock
-  // only for the send and for each completion probe, so concurrent streams
-  // keep their own requests in flight even when they share a connection.
+  // Mirrors RpcClient::Call's retry loop, and its net.rpc_* accounting, but
+  // holds the slot's client lock only for the send and for each completion
+  // probe, so concurrent streams keep their own requests in flight even when
+  // they share a connection. The counters are atomic: no lock needed.
+  using Event = RpcClient::CallEvent;
+  RpcClient* client = slot->client;
   RpcRetryPolicy policy;
   {
     std::lock_guard<std::mutex> lock(slot->mutex);
-    policy = slot->client->retry_policy();
+    policy = client->retry_policy();
   }
+  client->CountCallEvent(Event::kCall);
   uint64_t backoff_ns = policy.initial_backoff_ns;
   const int max_attempts = std::max(1, policy.max_attempts);
   Status last = Status::Ok();
@@ -86,11 +90,13 @@ StatusOr<RpcReply> RpcBackupChannel::CallOnSlot(ClientSlot* slot, MessageType ty
       backoff_ns = std::min<uint64_t>(static_cast<uint64_t>(backoff_ns * policy.backoff_multiplier),
                                       policy.max_backoff_ns);
     }
+    client->CountCallEvent(Event::kAttempt);
     StatusOr<uint64_t> id = [&]() -> StatusOr<uint64_t> {
       std::lock_guard<std::mutex> lock(slot->mutex);
-      return slot->client->SendRequest(type, region_id_, payload, reply_alloc);
+      return client->SendRequest(type, region_id_, payload, reply_alloc);
     }();
     if (!id.ok()) {
+      client->CountCallEvent(Event::kSendFailure);
       last = id.status();
       if (last.IsUnavailable() || last.code() == StatusCode::kResourceExhausted) {
         continue;
@@ -103,7 +109,7 @@ StatusOr<RpcReply> RpcBackupChannel::CallOnSlot(ClientSlot* slot, MessageType ty
     while (!done) {
       {
         std::lock_guard<std::mutex> lock(slot->mutex);
-        done = slot->client->TryGetReply(id.value(), &reply);
+        done = client->TryGetReply(id.value(), &reply);
       }
       if (done) {
         return reply;
@@ -113,8 +119,10 @@ StatusOr<RpcReply> RpcBackupChannel::CallOnSlot(ClientSlot* slot, MessageType ty
       }
       std::this_thread::yield();
     }
+    client->CountCallEvent(Event::kReplyTimeout);
     last = Status::Unavailable("rpc timeout waiting for reply " + std::to_string(id.value()));
   }
+  client->CountCallEvent(Event::kExhausted);
   return last;
 }
 

@@ -689,9 +689,9 @@ StatusOr<LogRecord> SendIndexBackupRegion::FindUnindexedLocked(Slice key) {
 }
 
 StatusOr<std::string> SendIndexBackupRegion::GetFromLevelsLocked(Slice key) {
-  FullKeyLoader loader = [this](uint64_t off) -> StatusOr<std::string> {
+  FullKeyLoader loader = [this](uint64_t off, uint32_t key_size) -> StatusOr<std::string> {
     std::string k;
-    TEBIS_RETURN_IF_ERROR(log_->ReadKey(off, &k, nullptr, nullptr, IoClass::kLookup));
+    TEBIS_RETURN_IF_ERROR(log_->ReadKey(off, key_size, &k, nullptr, nullptr, IoClass::kLookup));
     return k;
   };
   for (uint32_t i = 1; i <= options_.max_levels; ++i) {
@@ -861,7 +861,7 @@ StatusOr<std::vector<KvPair>> SendIndexBackupRegion::Scan(Slice start, size_t li
     for (auto& src : sources) {
       while (src->Valid() && Slice(src->entry().key) == Slice(winner_key)) {
         if (!overlay_wins && level_offset == kInvalidOffset) {
-          level_offset = src->entry().log_offset;
+          level_offset = src->entry().leaf.log_offset;
         }
         TEBIS_RETURN_IF_ERROR(src->Next());
       }
@@ -886,9 +886,9 @@ uint64_t SendIndexBackupRegion::visible_seq() const {
 }
 
 StatusOr<std::string> SendIndexBackupRegion::DebugGet(Slice key) {
-  FullKeyLoader loader = [this](uint64_t off) -> StatusOr<std::string> {
+  FullKeyLoader loader = [this](uint64_t off, uint32_t key_size) -> StatusOr<std::string> {
     std::string k;
-    TEBIS_RETURN_IF_ERROR(log_->ReadKey(off, &k, nullptr, nullptr, IoClass::kLookup));
+    TEBIS_RETURN_IF_ERROR(log_->ReadKey(off, key_size, &k, nullptr, nullptr, IoClass::kLookup));
     return k;
   };
   // Snapshot the level descriptors (and their verifiers — shared_ptr copies

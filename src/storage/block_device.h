@@ -163,7 +163,10 @@ class BlockDevice {
   explicit BlockDevice(const BlockDeviceOptions& options);
   Status Init();
 
-  Status CheckRange(uint64_t device_offset, size_t n) const;
+  // Checks that [device_offset, device_offset + n) lies inside one allocated
+  // segment and returns that segment's buffer, creating it on demand — one
+  // acquisition of mutex_ per transfer.
+  StatusOr<char*> ResolveRange(uint64_t device_offset, size_t n) const;
   // Burns injected bit-rot into the stored image (and the backing file when
   // file-backed). Flips aimed at unallocated segments are dropped.
   void ApplyBitFlips(const std::vector<BlockDeviceFaultHook::BitFlip>& flips) const;
@@ -171,7 +174,8 @@ class BlockDevice {
   uint64_t AccountedBytes(size_t n) const;
 
   // Returns the in-memory buffer for `segment`, creating it on demand.
-  char* SegmentBuffer(SegmentId segment) const;
+  // Requires mutex_.
+  char* SegmentBufferLocked(SegmentId segment) const;
 
   const BlockDeviceOptions options_;
   const SegmentGeometry geometry_;

@@ -382,6 +382,38 @@ TEST(ClusterTest, WorkloadWithCompactionsThroughWire) {
   }
 }
 
+TEST(ClusterTest, ReplicationRpcsCountCallsAndAttempts) {
+  ClusterFixture cluster(ReplicationMode::kSendIndex);
+  auto client = cluster.MakeClient("client0");
+  Random rng(6);
+  for (int i = 0; i < 3000; ++i) {
+    ASSERT_TRUE(client->Put(ClusterFixture::Key(rng.Uniform(500)), rng.Bytes(100)).ok()) << i;
+  }
+  // Log flushes and index shipping run over the backup channels' own retry
+  // loop; each call and each attempt lands on the net.rpc_* counters.
+  uint64_t calls = 0;
+  uint64_t attempts = 0;
+  for (auto& server : cluster.servers) {
+    MetricsSnapshot snap = server->telemetry()->metrics()->Snapshot();
+    for (const MetricSample& sample : snap.samples()) {
+      bool replication = false;
+      for (const auto& [key, value] : sample.labels) {
+        replication |= key == "backup";
+      }
+      if (!replication) {
+        continue;
+      }
+      if (sample.name == "net.rpc_calls") {
+        calls += static_cast<uint64_t>(sample.value);
+      } else if (sample.name == "net.rpc_attempts") {
+        attempts += static_cast<uint64_t>(sample.value);
+      }
+    }
+  }
+  EXPECT_GT(calls, 0u);
+  EXPECT_EQ(attempts, calls);  // fault-free fabric: one attempt per call
+}
+
 // --- §3.5 failure handling ------------------------------------------------------
 
 TEST(FailoverTest, PrimaryFailurePromotesBackupAndClientRecovers) {

@@ -65,7 +65,7 @@ TEST(ValueLogTest, TombstoneRoundTrip) {
   EXPECT_TRUE(rec.tombstone);
   std::string key;
   bool tomb = false;
-  ASSERT_TRUE((*log)->ReadKey(res->offset, &key, &tomb, nullptr, IoClass::kLookup).ok());
+  ASSERT_TRUE((*log)->ReadKey(res->offset, 4, &key, &tomb, nullptr, IoClass::kLookup).ok());
   EXPECT_EQ(key, "gone");
   EXPECT_TRUE(tomb);
 }
@@ -299,7 +299,9 @@ TEST(BTreeNodeTest, LeafBuildAndSearch) {
   LeafNodeView view(buf.data(), buf.size());
   ASSERT_TRUE(view.IsValid());
   EXPECT_EQ(view.num_entries(), 50u);
-  auto full_key = [&](uint64_t off) -> StatusOr<std::string> { return by_offset.at(off); };
+  auto full_key = [&](uint64_t off, uint32_t) -> StatusOr<std::string> {
+    return by_offset.at(off);
+  };
   auto found = view.Find(Key(9), full_key);
   ASSERT_TRUE(found.ok());
   EXPECT_EQ(view.entry(*found).log_offset, 1003u);
@@ -321,7 +323,7 @@ TEST(BTreeNodeTest, LeafPrefixCollisionUsesFullKey) {
   builder.Finish();
   LeafNodeView view(buf.data(), buf.size());
   int full_key_calls = 0;
-  auto full_key = [&](uint64_t off) -> StatusOr<std::string> {
+  auto full_key = [&](uint64_t off, uint32_t) -> StatusOr<std::string> {
     full_key_calls++;
     return stored.at(off);
   };
@@ -339,7 +341,7 @@ TEST(BTreeNodeTest, ShortKeysDecidedWithoutLogRead) {
   builder.Add("abc", 2);  // shares short prefix, both fit in kPrefixSize
   builder.Finish();
   LeafNodeView view(buf.data(), buf.size());
-  auto no_full_key = [](uint64_t) -> StatusOr<std::string> {
+  auto no_full_key = [](uint64_t, uint32_t) -> StatusOr<std::string> {
     return Status::Internal("should not be called");
   };
   auto found = view.Find("abc", no_full_key);
@@ -455,9 +457,9 @@ TreeFixture BuildTree(uint64_t n, uint64_t segment_size = 1 << 16) {
 }
 
 FullKeyLoader LoaderFor(const ValueLog* log) {
-  return [log](uint64_t off) -> StatusOr<std::string> {
+  return [log](uint64_t off, uint32_t key_size) -> StatusOr<std::string> {
     std::string key;
-    TEBIS_RETURN_IF_ERROR(log->ReadKey(off, &key, nullptr, nullptr, IoClass::kLookup));
+    TEBIS_RETURN_IF_ERROR(log->ReadKey(off, key_size, &key, nullptr, nullptr, IoClass::kLookup));
     return key;
   };
 }
@@ -537,7 +539,8 @@ TEST(BTreeIteratorTest, SeekLandsOnLowerBound) {
   ASSERT_TRUE(it.Seek(Key(501), loader).ok());
   ASSERT_TRUE(it.Valid());
   std::string key;
-  ASSERT_TRUE(fx.log->ReadKey(it.entry().log_offset, &key, nullptr, nullptr, IoClass::kLookup)
+  ASSERT_TRUE(fx.log->ReadKey(it.entry().log_offset, it.entry().key_size, &key, nullptr, nullptr,
+                              IoClass::kLookup)
                   .ok());
   EXPECT_EQ(key, Key(502));
   // Seek beyond the last key.
@@ -657,7 +660,9 @@ TEST(CompactionTest, NewestVersionWinsOnTies) {
   auto tree = builder.Finish();
   ASSERT_TRUE(tree.ok());
   BTreeReader reader(dev.get(), nullptr, kDefaultNodeSize, *tree, IoClass::kLookup);
-  auto loader = [](uint64_t) -> StatusOr<std::string> { return Status::Internal("no log"); };
+  auto loader = [](uint64_t, uint32_t) -> StatusOr<std::string> {
+    return Status::Internal("no log");
+  };
   auto found = reader.Find("k1", loader);
   ASSERT_TRUE(found.ok());
   EXPECT_EQ(*found, 100u);  // newest offset

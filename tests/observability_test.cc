@@ -403,6 +403,27 @@ TEST(RequestTraceE2ETest, SampledPutBuildsOneTreeAcrossClientEngineDoorbellBacku
   EXPECT_EQ(hist->exemplars.back().trace, *request_traces.begin());
 }
 
+TEST(RequestTraceE2ETest, SampledGetRecordsAnEngineApplySpan) {
+  auto cluster = SimCluster::Create(TracedClusterOptions());
+  ASSERT_TRUE(cluster.ok());
+  ASSERT_TRUE((*cluster)->Put(Key(3), "value-3").ok());
+  ASSERT_TRUE((*cluster)->Get(Key(3)).ok());
+
+  // Two request traces (the put, then the get); the get's splits into the
+  // client/primary_apply pair and the engine's own span.
+  std::map<TraceId, std::map<std::string, int>> by_trace;
+  for (const SpanRecord& span : (*cluster)->Traces()) {
+    if (IsRequestTrace(span.trace)) {
+      by_trace[span.trace][span.name]++;
+    }
+  }
+  ASSERT_EQ(by_trace.size(), 2u);
+  for (auto& [trace, by_name] : by_trace) {
+    EXPECT_EQ(by_name["engine_apply"], 1);
+    EXPECT_EQ(by_name["primary_apply"], 1);
+  }
+}
+
 TEST(RequestTraceE2ETest, StageBreakdownLandsInTheSlowOpLog) {
   SimClusterOptions options = TracedClusterOptions();
   options.slow_op_policy.put_ns = 1;  // everything is "slow"

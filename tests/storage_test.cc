@@ -79,6 +79,27 @@ TEST(BlockDeviceTest, CrossSegmentTransferRejected) {
   EXPECT_FALSE((*dev)->Write(near_end, data, IoClass::kOther).ok());
 }
 
+TEST(BlockDeviceTest, RangeErrorsKeepTheirStatuses) {
+  auto dev = BlockDevice::Create(SmallDeviceOptions());
+  ASSERT_TRUE(dev.ok());
+  auto seg = (*dev)->AllocateSegment();
+  ASSERT_TRUE(seg.ok());
+  const uint64_t base = (*dev)->geometry().BaseOffset(*seg);
+  char buf[200] = {};
+  Status zero = (*dev)->Read(base, 0, buf, IoClass::kOther);
+  EXPECT_EQ(zero.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(zero.ToString().find("zero-length"), std::string::npos);
+  Status cross = (*dev)->Write(base + 4096 - 50, Slice(buf, 100), IoClass::kOther);
+  EXPECT_EQ(cross.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(cross.ToString().find("crosses a segment boundary"), std::string::npos);
+  Status unallocated =
+      (*dev)->Read((*dev)->geometry().BaseOffset(*seg + 1), 8, buf, IoClass::kOther);
+  EXPECT_EQ(unallocated.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(unallocated.ToString().find("unallocated segment"), std::string::npos);
+  // Rejected transfers are never accounted.
+  EXPECT_EQ((*dev)->stats().ReadOps() + (*dev)->stats().WriteOps(), 0u);
+}
+
 TEST(BlockDeviceTest, FreeSegmentRecycled) {
   auto dev = BlockDevice::Create(SmallDeviceOptions());
   ASSERT_TRUE(dev.ok());
