@@ -4,8 +4,8 @@
 // entries (what a Build-Index backup's compaction does, minus its read I/O).
 //
 // After the google-benchmark suites, main() runs the PR 2 pipeline comparison
-// (one writer + three readers against one store, synchronous vs background
-// compactions) and writes the numbers to BENCH_micro.json.
+// (one writer + three readers against one store, compactions inline on the
+// writer vs on a worker pool) and writes the numbers to BENCH_micro.json.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -214,10 +214,11 @@ BENCHMARK(BM_Crc32)->Arg(128)->Arg(4096);
 // --- compaction pipeline (PR 2) -------------------------------------------------
 //
 // The acceptance experiment: 4 client threads (1 writer + 3 readers) against a
-// single store, once with synchronous compactions (the seed behavior: the
-// writer blocks through every L0 flush and cascade) and once with a background
-// worker pool. Readers only touch acked keys, so both runs do identical work;
-// the delta is purely foreground/compaction overlap.
+// single store, once without a compaction pool (the "sync" arm: every claimed
+// compaction runs inline, so the writer blocks through every L0 flush and
+// cascade) and once with a background worker pool. Readers only touch acked
+// keys, so both runs do identical work; the delta is purely
+// foreground/compaction overlap.
 
 struct PipelineRunResult {
   double put_kops_per_sec = 0;
@@ -322,7 +323,7 @@ void SetPipelineJson(bench::BenchJson* json, const std::string& section,
                      const PipelineRunResult& r) {
   json->Set(section, "put_kops_per_sec", r.put_kops_per_sec);
   bench::SetLatencyPercentiles(json, section, "put", r.put_latency);
-  // The worst Put: the synchronous baseline pays a whole compaction cascade
+  // The worst Put: the inline baseline pays a whole compaction cascade
   // here; the pipeline bounds it by the backpressure policy.
   json->Set(section, "put_p999_us",
             static_cast<double>(r.put_latency.Percentile(99.9)) / 1000.0);

@@ -47,6 +47,10 @@ KvStoreOptions RegionServer::RegionKvOptions(uint32_t region_id, const char* rol
   kv_options.telemetry_labels.emplace_back("node", name_);
   kv_options.telemetry_labels.emplace_back("region", std::to_string(region_id));
   kv_options.telemetry_labels.emplace_back("role", role);
+  // Every engine this server builds compacts through the server's pool (null
+  // = inline on the claiming thread) — including the one a backup's Promote
+  // builds, so a promoted region keeps the server's executor.
+  kv_options.compaction_pool = compaction_pool_.get();
   return kv_options;
 }
 
@@ -182,11 +186,9 @@ Status RegionServer::OpenPrimaryRegion(uint32_t region_id, uint64_t epoch) {
   }
   auto handle = std::make_shared<RegionHandle>();
   handle->is_primary = true;
-  KvStoreOptions kv_options = RegionKvOptions(region_id, "primary");
-  kv_options.compaction_pool = compaction_pool_.get();  // null = synchronous
-  TEBIS_ASSIGN_OR_RETURN(
-      handle->primary,
-      PrimaryRegion::Create(device_.get(), kv_options, options_.replication_mode));
+  TEBIS_ASSIGN_OR_RETURN(handle->primary,
+                         PrimaryRegion::Create(device_.get(), RegionKvOptions(region_id, "primary"),
+                                               options_.replication_mode));
   handle->primary->set_epoch(epoch);
   InstallPrimaryPolicy(region_id, handle->primary.get());
   regions_[region_id] = std::move(handle);
@@ -400,11 +402,6 @@ Status RegionServer::PromoteRegion(uint32_t region_id, SegmentMap* log_map_out,
       PrimaryRegion::CreateFromStore(device_.get(), options_.replication_mode, std::move(store)));
   handle->primary->set_epoch(new_epoch);
   InstallPrimaryPolicy(region_id, handle->primary.get());
-  // A promoted region keeps background compactions: adopt the server pool the
-  // backup engine never needed (ROADMAP follow-on from the pipeline work).
-  if (compaction_pool_ != nullptr) {
-    TEBIS_RETURN_IF_ERROR(handle->primary->store()->AdoptCompactionPool(compaction_pool_.get()));
-  }
   handle->is_primary = true;
   return Status::Ok();
 }

@@ -32,9 +32,9 @@ namespace tebis {
 struct RegionServerOptions {
   int num_spinners = 2;  // paper §4
   int num_workers = 8;   // paper §4
-  // Background compaction workers shared by this server's *primary* stores
-  // (PR 2). 0 = synchronous compactions (the seed behavior). Regions promoted
-  // from a backup role keep compacting synchronously until reopened.
+  // Compaction workers shared by every store this server builds (PR 2),
+  // promoted engines included. 0 = no pool: each compaction runs inline on
+  // the thread that claimed it (the request or replication worker).
   int compaction_workers = 0;
   BlockDeviceOptions device_options;
   KvStoreOptions kv_options;

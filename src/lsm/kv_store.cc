@@ -199,19 +199,6 @@ KvStore::~KvStore() {
   bg_cv_.wait(lock, [&] { return bg_jobs_ == 0; });
 }
 
-Status KvStore::AdoptCompactionPool(WorkerPool* pool) {
-  std::lock_guard<std::mutex> write_lock(write_mutex_);
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (pool_ != nullptr) {
-    return Status::FailedPrecondition("store already has a compaction pool");
-  }
-  if (bg_jobs_ > 0 || imm_ != nullptr) {
-    return Status::FailedPrecondition("store has in-flight compaction work");
-  }
-  pool_ = pool;
-  return Status::Ok();
-}
-
 uint64_t KvStore::LevelCapacity(uint32_t level) const {
   uint64_t cap = options_.l0_max_entries;
   for (uint32_t i = 0; i < level; ++i) {
@@ -357,9 +344,6 @@ Status KvStore::WriteImplInner(Slice key, Slice value, bool tombstone) {
   if (flushed && options_.auto_checkpoint) {
     TEBIS_RETURN_IF_ERROR(Checkpoint().status());
   }
-  if (pool_ == nullptr) {
-    return MaybeCompactLocked();
-  }
   return MaybeScheduleL0(record_bytes);
 }
 
@@ -493,10 +477,7 @@ Status KvStore::WriteBatchInner(const std::vector<BatchOp>& ops, std::vector<Sta
     return result;
   }
   // Backpressure charged once for the whole group: one slowdown-bucket debit
-  // (or one synchronous compaction check) per doorbell, not per record.
-  if (pool_ == nullptr) {
-    return MaybeCompactLocked();
-  }
+  // (or one seal) per doorbell, not per record.
   return MaybeScheduleL0(appended_bytes);
 }
 
@@ -600,19 +581,29 @@ Status KvStore::SealL0Locked() {
   info.compaction_id = next_compaction_id_.fetch_add(1, std::memory_order_relaxed);
   info.src_level = 0;
   info.dst_level = 1;
-  info.tail_sealed = true;
   // The tail seal stays on the writer thread: the data-plane observer mirrors
-  // the flush to the backups and must never run off it. The compaction
-  // observer's begin fires later on the background job, keeping the index
-  // control messages strictly serialized (begin -> segments -> end) even when
-  // the writer seals the next memtable mid-shipment.
-  TEBIS_RETURN_IF_ERROR(log_->FlushTail());
+  // the flush to the backups and must never run off it. Every offset the new
+  // level will reference is then flushed (backup pointer rewriting, §3.3, and
+  // the local replay boundary below). The compaction observer's begin fires
+  // later, in the job, keeping the index control messages strictly
+  // serialized (begin -> segments -> end) even when the writer seals the next
+  // memtable mid-shipment. The seal belongs to the put path: its flush, and
+  // the replication the data-plane observer fans out for it, nest in the
+  // insert timer like any segment-full flush inside an append.
+  uint64_t cpu_ns = 0;
+  Status flushed;
+  {
+    ScopedCpuTimer t(&cpu_ns);
+    flushed = log_->FlushTail();
+  }
+  counters_.insert_l0_cpu_ns->Add(cpu_ns);
+  TEBIS_RETURN_IF_ERROR(flushed);
   info.l0_boundary = log_->flushed_segment_count();
   std::vector<CompactionJob> jobs;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     // Stream + trace assigned under the state lock so the id is fixed before
-    // the observer's begin fires on the background worker.
+    // the observer's begin fires.
     AssignStreamLocked(&info);
     imm_ = std::move(active_);
     active_ = std::make_shared<Memtable>();
@@ -624,7 +615,7 @@ Status KvStore::SealL0Locked() {
   }
   active_appended_bytes_ = 0;
   DispatchBackgroundJobs(std::move(jobs));
-  return Status::Ok();
+  return BackgroundErrorLocked();
 }
 
 std::vector<KvStore::CompactionJob> KvStore::ClaimBackgroundJobsLocked() {
@@ -632,9 +623,9 @@ std::vector<KvStore::CompactionJob> KvStore::ClaimBackgroundJobsLocked() {
   if (!bg_error_.ok()) {
     return jobs;
   }
-  const uint32_t cap = options_.max_background_compactions;
+  const int cap = static_cast<int>(options_.max_background_compactions);
   bool progressed = true;
-  while (progressed && (cap == 0 || bg_jobs_ + jobs.size() < cap)) {
+  while (progressed && (cap == 0 || bg_jobs_ < cap)) {
     progressed = false;
     // The sealed memtable owns {0, 1}. level_busy_[0] doubles as its claim
     // marker: imm_ stays set until the job publishes L1.
@@ -643,17 +634,16 @@ std::vector<KvStore::CompactionJob> KvStore::ClaimBackgroundJobsLocked() {
       job.imm = imm_;
       job.info = imm_info_;
       job.boundary = imm_boundary_;
-      job.queued_at_ns = imm_queued_at_ns_;
       job.imm_bytes = imm_bytes_;
-      level_busy_[0] = level_busy_[1] = true;
+      OwnLevelsLocked(&job);
+      job.queued_at_ns = imm_queued_at_ns_;  // the spill queues from its seal
       jobs.push_back(std::move(job));
       progressed = true;
       continue;
     }
     // Cascades: any over-capacity device level whose {src, dst} pair is free.
     // The tail was sealed by the L0 spill that started the chain, and every
-    // offset in device levels is already flushed — the observer must not
-    // (and, off the writer thread, could not) flush it.
+    // offset in device levels is already flushed.
     for (uint32_t i = 1; i < options_.max_levels; ++i) {
       if (level_busy_[i] || level_busy_[i + 1]) {
         continue;
@@ -661,31 +651,51 @@ std::vector<KvStore::CompactionJob> KvStore::ClaimBackgroundJobsLocked() {
       if (levels_[i]->tree.num_entries <= LevelCapacity(i)) {
         continue;
       }
-      CompactionJob job;
-      job.info.compaction_id = next_compaction_id_.fetch_add(1, std::memory_order_relaxed);
-      job.info.src_level = static_cast<int>(i);
-      job.info.dst_level = static_cast<int>(i) + 1;
-      job.info.tail_sealed = true;
-      AssignStreamLocked(&job.info);
-      level_busy_[i] = level_busy_[i + 1] = true;
-      jobs.push_back(std::move(job));
+      jobs.push_back(ClaimLevelLocked(i));
       progressed = true;
       break;
     }
   }
-  bg_jobs_ += static_cast<int>(jobs.size());
-  counters_.concurrent_compaction_peak->SetMax(bg_jobs_);
   return jobs;
+}
+
+KvStore::CompactionJob KvStore::ClaimLevelLocked(uint32_t i) {
+  CompactionJob job;
+  job.info.compaction_id = next_compaction_id_.fetch_add(1, std::memory_order_relaxed);
+  job.info.src_level = static_cast<int>(i);
+  job.info.dst_level = static_cast<int>(i) + 1;
+  AssignStreamLocked(&job.info);
+  OwnLevelsLocked(&job);
+  return job;
+}
+
+void KvStore::OwnLevelsLocked(CompactionJob* job) {
+  level_busy_[job->info.src_level] = level_busy_[job->info.dst_level] = true;
+  job->queued_at_ns = NowNanos();
+  bg_jobs_++;
+  counters_.concurrent_compaction_peak->SetMax(bg_jobs_);
 }
 
 void KvStore::DispatchBackgroundJobs(std::vector<CompactionJob> jobs) {
   for (CompactionJob& job : jobs) {
-    pool_->DispatchLongRunning(
-        [this, job = std::move(job)]() mutable { BackgroundJob(std::move(job)); });
+    Dispatch([this, job = std::move(job)](bool on_pool) mutable {
+      BackgroundJob(std::move(job), on_pool);
+    });
   }
 }
 
-void KvStore::BackgroundJob(CompactionJob job) {
+void KvStore::Dispatch(std::function<void(bool on_pool)> work) {
+  if (pool_ == nullptr) {
+    work(false);
+    return;
+  }
+  pool_->DispatchLongRunning([work = std::move(work)] { work(true); });
+}
+
+void KvStore::BackgroundJob(CompactionJob job, bool on_pool) {
+  // The CPU timer covers the observer's begin fan-out too, so every
+  // send-index timer the observer runs for this job nests inside it.
+  const uint64_t cpu_start = ThreadCpuNanos();
   if (observer_ != nullptr) {
     uint64_t begin_ns = 0;
     {
@@ -695,7 +705,8 @@ void KvStore::BackgroundJob(CompactionJob job) {
     counters_.compaction_ship_ns->Add(begin_ns);
   }
   Status done = RunCompaction(job);
-  if (done.ok() && job.info.src_level == 0 && job.imm_bytes > 0 && job.queued_at_ns != 0) {
+  counters_.compaction_cpu_ns->Add(ThreadCpuNanos() - cpu_start);
+  if (done.ok() && job.info.src_level == 0 && job.imm_bytes > 0) {
     // Update the slowdown bucket's drain-rate estimate: bytes the spill
     // absorbed over its seal-to-publish wall time, smoothed 3:1.
     const uint64_t elapsed = NowNanos() - job.queued_at_ns;
@@ -715,7 +726,9 @@ void KvStore::BackgroundJob(CompactionJob job) {
     if (!done.ok()) {
       bg_error_ = done;
     } else {
-      counters_.background_compactions->Increment();
+      if (on_pool) {
+        counters_.background_compactions->Increment();
+      }
       // Reclaim: this job may have filled dst past capacity, or freed the
       // levels an already-sealed memtable was waiting for.
       next = ClaimBackgroundJobsLocked();
@@ -727,13 +740,10 @@ void KvStore::BackgroundJob(CompactionJob job) {
 }
 
 Status KvStore::RunCompaction(const CompactionJob& job) {
-  const uint64_t cpu_start = ThreadCpuNanos();
   const uint64_t run_start_ns = NowNanos();
-  if (job.queued_at_ns != 0) {
-    counters_.compaction_queue_wait_ns->Add(run_start_ns - job.queued_at_ns);
-    // Scheduler-claim span: seal (or claim) to the moment the job starts.
-    RecordSpan(job.info, "claim", job.queued_at_ns, run_start_ns);
-  }
+  counters_.compaction_queue_wait_ns->Add(run_start_ns - job.queued_at_ns);
+  // Scheduler-claim span: seal (or claim) to the moment the job starts.
+  RecordSpan(job.info, "claim", job.queued_at_ns, run_start_ns);
   const int src_level = job.info.src_level;
   const int dst_level = job.info.dst_level;
   if (dst_level > static_cast<int>(options_.max_levels)) {
@@ -806,7 +816,7 @@ Status KvStore::RunCompaction(const CompactionJob& job) {
         static_cast<int64_t>(new_tree.filter->size() * 8 / new_tree.num_entries));
   }
   // Drop our references: with no concurrent readers this frees the retired
-  // segments right here — the same point the synchronous engine freed them.
+  // segments right here.
   src_ref.reset();
   dst_ref.reset();
 
@@ -822,7 +832,6 @@ Status KvStore::RunCompaction(const CompactionJob& job) {
   if (options_.auto_checkpoint) {
     TEBIS_RETURN_IF_ERROR(Checkpoint().status());
   }
-  counters_.compaction_cpu_ns->Add(ThreadCpuNanos() - cpu_start);
   {
     // Per-level compaction duration distribution. Resolved lazily: the level
     // label set is bounded by max_levels, and a map lookup once per
@@ -843,65 +852,7 @@ Status KvStore::RunCompaction(const CompactionJob& job) {
   return Status::Ok();
 }
 
-// --- synchronous compaction paths (write_mutex_ held, background drained) ------
-
-Status KvStore::MaybeCompactLocked() {
-  bool progressed = true;
-  while (progressed) {
-    progressed = false;
-    if (active_->entries() >= options_.l0_max_entries) {
-      TEBIS_RETURN_IF_ERROR(CompactIntoNextLocked(0));
-      progressed = true;
-    }
-    for (uint32_t i = 1; i < options_.max_levels; ++i) {
-      bool over;
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        over = levels_[i]->tree.num_entries > LevelCapacity(i);
-      }
-      if (over) {
-        TEBIS_RETURN_IF_ERROR(CompactIntoNextLocked(static_cast<int>(i)));
-        progressed = true;
-      }
-    }
-  }
-  return Status::Ok();
-}
-
-Status KvStore::CompactIntoNextLocked(int src_level) {
-  CompactionJob job;
-  job.info.src_level = src_level;
-  job.info.dst_level = src_level + 1;
-  if (job.info.dst_level > static_cast<int>(options_.max_levels)) {
-    return Status::FailedPrecondition("cannot compact past the last level");
-  }
-  job.info.compaction_id = next_compaction_id_.fetch_add(1, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    AssignStreamLocked(&job.info);
-  }
-  // Claimed right here: the span/queue-wait window only covers the observer's
-  // begin (stream-open control message), but stamping it keeps the trace tree
-  // shape identical between the synchronous and background engines.
-  job.queued_at_ns = NowNanos();
-  if (observer_ != nullptr) {
-    observer_->OnCompactionBegin(job.info);
-  }
-  if (src_level == 0) {
-    // Seal the tail so the new level references only flushed log segments —
-    // required both by backup pointer rewriting (§3.3) and by local recovery
-    // (the replay boundary below). The replicated observer usually flushed
-    // already, making this a no-op.
-    TEBIS_RETURN_IF_ERROR(log_->FlushTail());
-    job.boundary = log_->flushed_segment_count();
-    active_appended_bytes_ = 0;
-    std::lock_guard<std::mutex> lock(mutex_);
-    imm_ = std::move(active_);
-    active_ = std::make_shared<Memtable>();
-    job.imm = imm_;
-  }
-  return RunCompaction(job);
-}
+// --- maintenance entry points (write_mutex_ held) --------------------------------
 
 Status KvStore::DrainBackgroundLocked() {
   std::unique_lock<std::mutex> lock(mutex_);
@@ -917,40 +868,53 @@ Status KvStore::WaitForBackgroundWork() {
 Status KvStore::MaybeCompact() {
   std::lock_guard<std::mutex> wl(write_mutex_);
   TEBIS_RETURN_IF_ERROR(DrainBackgroundLocked());
-  return MaybeCompactLocked();
+  if (active_->entries() >= options_.l0_max_entries) {
+    TEBIS_RETURN_IF_ERROR(SealL0Locked());
+  } else {
+    std::vector<CompactionJob> jobs;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      jobs = ClaimBackgroundJobsLocked();
+    }
+    DispatchBackgroundJobs(std::move(jobs));
+  }
+  return DrainBackgroundLocked();
 }
 
 Status KvStore::FlushL0() {
   std::lock_guard<std::mutex> wl(write_mutex_);
-  TEBIS_RETURN_IF_ERROR(DrainBackgroundLocked());
   return FlushL0Locked();
 }
 
 Status KvStore::FlushL0Locked() {
+  TEBIS_RETURN_IF_ERROR(DrainBackgroundLocked());
   if (active_->entries() == 0) {
     return Status::Ok();
   }
-  TEBIS_RETURN_IF_ERROR(CompactIntoNextLocked(0));
-  return MaybeCompactLocked();
+  TEBIS_RETURN_IF_ERROR(SealL0Locked());
+  return DrainBackgroundLocked();
 }
 
 Status KvStore::ForceFullCompaction() {
   std::lock_guard<std::mutex> wl(write_mutex_);
-  TEBIS_RETURN_IF_ERROR(DrainBackgroundLocked());
   return ForceFullCompactionLocked();
 }
 
 Status KvStore::ForceFullCompactionLocked() {
   TEBIS_RETURN_IF_ERROR(FlushL0Locked());
+  // One level at a time, top down: each claim drains before the next, so the
+  // order is the same with or without a pool.
   for (uint32_t i = 1; i < options_.max_levels; ++i) {
-    bool nonempty;
+    std::vector<CompactionJob> jobs;
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      nonempty = !levels_[i]->tree.empty();
+      if (levels_[i]->tree.empty()) {
+        continue;
+      }
+      jobs.push_back(ClaimLevelLocked(i));
     }
-    if (nonempty) {
-      TEBIS_RETURN_IF_ERROR(CompactIntoNextLocked(static_cast<int>(i)));
-    }
+    DispatchBackgroundJobs(std::move(jobs));
+    TEBIS_RETURN_IF_ERROR(DrainBackgroundLocked());
   }
   return Status::Ok();
 }
@@ -1398,15 +1362,12 @@ StatusOr<KvStore::ScrubReport> KvStore::Scrub(const ScrubOptions& options) {
 Status KvStore::ScheduleScrub(const ScrubOptions& options,
                               std::function<void(const StatusOr<ScrubReport>&)> done) {
   {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (pool_ == nullptr) {
-      return Status::FailedPrecondition("no compaction pool for a background scrub");
-    }
     // Counted like a claimed compaction so teardown/drain wait for it; a
     // corrupt scrub result is expected operational state, never bg_error_.
+    std::lock_guard<std::mutex> lock(mutex_);
     bg_jobs_++;
   }
-  pool_->DispatchLongRunning([this, options, done = std::move(done)] {
+  Dispatch([this, options, done = std::move(done)](bool) {
     StatusOr<ScrubReport> report = Scrub(options);
     if (done) {
       done(report);

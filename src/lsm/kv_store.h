@@ -18,19 +18,21 @@
 //    lock; level trees are refcounted so a compaction can retire them while a
 //    reader is still walking them — segments are freed only when the last
 //    reference drops.
-//  * With KvStoreOptions::compaction_pool set, L0 spills are double-buffered:
-//    the full memtable is sealed (tail flush + swap on the writer thread, so
-//    replication's data plane stays single-threaded) and merged into L1 by a
-//    background job. Compactions of *disjoint* level pairs run concurrently
-//    (PR 4): a scheduler claims {src, dst} level ownership under the state
-//    lock and dispatches each claimed job to the pool, so L0→L1 can overlap
-//    L2→L3 while L1→L2 waits for L1. Writers slow down when the fresh L0
-//    grows past l0_slowdown_entries (token-bucket paced against the measured
-//    L0 drain rate) and hard-stall at l0_stop_entries until the background
-//    flush catches up.
-//  * With a null pool the engine is fully synchronous and byte-for-byte
-//    equivalent to the pre-pipeline behavior (fault-injection crash points
-//    stay deterministic).
+//  * One compaction scheduler (PR 4 level ownership): when the active L0 is
+//    full the writer seals it (tail flush + swap on the writer thread, so
+//    replication's data plane stays single-threaded), then the scheduler
+//    claims {src, dst} level ownership under the state lock for every
+//    runnable job — the sealed memtable (L0->L1) and any over-capacity
+//    level — and dispatches each claimed job. Disjoint level pairs can run
+//    concurrently, so L0->L1 can overlap L2->L3 while L1->L2 waits for L1.
+//  * KvStoreOptions::compaction_pool picks the executor. With a pool, claimed
+//    jobs run on it and writes overlap compaction; writers slow down when the
+//    fresh L0 grows past l0_slowdown_entries (token-bucket paced against the
+//    measured L0 drain rate) and hard-stall at l0_stop_entries until the
+//    background flush catches up. With a null pool each claimed job runs
+//    inline on the thread that claimed it, before that call returns, so a
+//    cascade finishes inside the put that sealed L0 and fault-injection
+//    crash points stay deterministic.
 #ifndef TEBIS_LSM_KV_STORE_H_
 #define TEBIS_LSM_KV_STORE_H_
 
@@ -90,9 +92,10 @@ struct KvStoreOptions {
   // log byte — stays dense under value-heavy mixes. 0 disables separation.
   size_t large_value_threshold = 0;
 
-  // Background compaction (PR 2). When set, L0 spills and level cascades run
-  // as a long-running job on this pool and writes overlap compaction. The
-  // pool must be Start()ed and must outlive the store. Null = synchronous.
+  // Compaction executor (PR 2). When set, L0 spills and level cascades run
+  // as long-running jobs on this pool and writes overlap compaction. The
+  // pool must be Start()ed and must outlive the store. Null = every claimed
+  // job runs inline on the claiming (writer) thread.
   WorkerPool* compaction_pool = nullptr;
   // Writers sleep briefly per operation once the active L0 exceeds this while
   // a flush is already in flight (0 = 3/2 × l0_max_entries).
@@ -124,14 +127,10 @@ struct CompactionInfo {
   uint64_t compaction_id = 0;
   int src_level = 0;  // 0 == L0
   int dst_level = 1;
-  // True when the engine already sealed the value-log tail for this
-  // compaction (background jobs: the seal ran on the writer thread when the
-  // memtable was swapped): observers must not flush the tail themselves —
-  // they are running off the writer thread where a flush would race appends.
-  bool tail_sealed = false;
-  // Valid when tail_sealed && src_level == 0: number of flushed log segments
-  // at seal time — the L0 replay boundary this compaction covers. (With
-  // tail_sealed unset the observer derives it from the log after flushing.)
+  // Valid when src_level == 0: number of flushed log segments at seal time —
+  // the L0 replay boundary this compaction covers. The engine always seals
+  // the value-log tail on the writer thread before the compaction begins, so
+  // observers never flush it themselves.
   size_t l0_boundary = 0;
   // Shipping stream the scheduler assigned to this compaction (PR 5): the
   // engine owns the allocation so the stream id — and the trace id derived
@@ -145,8 +144,8 @@ struct CompactionInfo {
 
 // Observer of the compaction lifecycle; the Send-Index primary attaches one
 // to stream index segments to its backups while the compaction runs.
-// Synchronous mode: every callback runs on the writer thread, one compaction
-// at a time. With a compaction pool (PR 4), compactions of disjoint level
+// Without a pool every callback runs on the writer thread, one compaction at
+// a time. With a compaction pool (PR 4), compactions of disjoint level
 // pairs run concurrently: each compaction's callbacks stay ordered
 // (begin -> segments -> end on that compaction's worker), but callbacks from
 // *different* compactions interleave across threads — implementations must be
@@ -171,7 +170,8 @@ struct KvStoreStats {
   uint64_t deletes = 0;
   uint64_t scans = 0;
   uint64_t compactions = 0;
-  // Compactions that ran on the background pool (subset of `compactions`).
+  // Compactions that ran on the compaction pool (subset of `compactions`;
+  // stays 0 for a store without a pool, whose jobs run inline).
   uint64_t background_compactions = 0;
   // Per-thread CPU time per component (Table 3 breakdown).
   uint64_t insert_l0_cpu_ns = 0;   // Put path excluding compaction work
@@ -266,11 +266,11 @@ class KvStore {
   Status ReplayRecord(Slice key, uint64_t log_offset, bool tombstone);
 
   // Forces an L0 -> L1 compaction (plus any cascade) even if L0 is not full.
-  // Drains any in-flight background work first and runs synchronously.
+  // Drains in-flight work, seals, and returns once the cascade is done.
   Status FlushL0();
 
-  // Runs compactions until every level is within capacity (synchronously;
-  // drains background work first).
+  // Runs compactions until every level is within capacity; returns once they
+  // are done.
   Status MaybeCompact();
 
   // Flushes L0 and then compacts every non-empty level downwards, leaving all
@@ -326,8 +326,9 @@ class KvStore {
   StatusOr<ScrubReport> Scrub(const ScrubOptions& options);
   StatusOr<ScrubReport> Scrub() { return Scrub(ScrubOptions()); }
 
-  // Dispatches Scrub onto the compaction pool as a low-priority background
-  // job. `done` (may be null) fires on the worker with the report.
+  // Dispatches Scrub through the compaction executor. `done` (may be null)
+  // fires with the report: on a pool worker, or — without a pool — inline,
+  // before ScheduleScrub returns.
   Status ScheduleScrub(const ScrubOptions& options,
                        std::function<void(const StatusOr<ScrubReport>&)> done = nullptr);
 
@@ -382,13 +383,6 @@ class KvStore {
   static Parts Decompose(std::unique_ptr<KvStore> store);
 
   void set_compaction_observer(CompactionObserver* observer) { observer_ = observer; }
-
-  // Late-binds a background compaction pool onto a store opened without one
-  // (a promoted backup's engine: backups never compact, so their stores are
-  // built synchronous). Only legal while no pool is attached and no
-  // background job is scheduled; callers promote under the region lock before
-  // any write reaches the new primary.
-  Status AdoptCompactionPool(WorkerPool* pool);
 
   ValueLog* value_log() { return log_.get(); }
   PageCache* cache() { return cache_.get(); }
@@ -447,8 +441,8 @@ class KvStore {
     CompactionInfo info;
     std::shared_ptr<Memtable> imm;  // non-null for L0 spills
     size_t boundary = 0;            // L0 replay boundary captured at seal
-    // When the job was sealed/claimed; start of the "claim" trace span. The
-    // synchronous engine stamps it at claim too (queue wait ~0).
+    // When the job was sealed/claimed; start of the "claim" trace span (queue
+    // wait ~0 when the job runs inline).
     uint64_t queued_at_ns = 0;
     // Log bytes appended while this memtable was active (L0 spills); feeds
     // the slowdown token bucket's drain-rate estimate.
@@ -541,33 +535,39 @@ class KvStore {
   // measured L0 drain rate to absorb `record_bytes`. Writer thread only.
   void SlowdownDelay(size_t record_bytes);
   // Seals the active memtable: tail flush on this (writer) thread — the
-  // data-plane observer mirrors it — then the swap; dispatches any claimable
-  // background jobs. The compaction observer's begin fires later, on the
-  // background worker, with tail_sealed set. write_mutex_ held, imm_ must be
-  // empty.
+  // data-plane observer mirrors it — then the swap; claims and dispatches
+  // every runnable job. The compaction observer's begin fires later, in the
+  // job. Returns the sticky job error, so a store without a pool fails the
+  // write whose seal failed. write_mutex_ held, imm_ must be empty.
   Status SealL0Locked();
 
-  // Compaction scheduler (PR 4). Claims every runnable unit of background
-  // work whose {src, dst} levels are free: the sealed memtable (owns levels
-  // {0, 1}) and any over-capacity device level i (owns {i, i+1}). Marks the
-  // levels busy and bumps bg_jobs_ for each claim. mutex_ must be held.
+  // Compaction scheduler (PR 4). Claims every runnable job whose {src, dst}
+  // levels are free: the sealed memtable (owns levels {0, 1}) and any
+  // over-capacity device level i (owns {i, i+1}). mutex_ must be held.
   std::vector<CompactionJob> ClaimBackgroundJobsLocked();
-  // Hands each claimed job to the pool. Must be called WITHOUT mutex_ (the
-  // pool enqueue takes its own locks).
+  // Claims level i -> i+1 whether or not level i is over capacity (cascade
+  // claims and ForceFullCompaction). mutex_ held, levels i and i+1 free.
+  CompactionJob ClaimLevelLocked(uint32_t i);
+  // Marks the job's levels busy, counts it in bg_jobs_ and stamps its claim
+  // time. mutex_ must be held.
+  void OwnLevelsLocked(CompactionJob* job);
+  // Hands each claimed job to Dispatch. Must be called WITHOUT mutex_.
   void DispatchBackgroundJobs(std::vector<CompactionJob> jobs);
-  // Runs one claimed job on a pool worker: observer begin, the compaction
-  // itself, then completion bookkeeping (release level ownership, update the
-  // drain-rate estimate, reclaim any newly runnable work).
-  void BackgroundJob(CompactionJob job);
+  // The one executor decision: runs `work` on a compaction-pool worker, or
+  // inline on this thread when the store has no pool. `work` learns which.
+  void Dispatch(std::function<void(bool on_pool)> work);
+  // Runs one claimed job: observer begin, the compaction itself, then
+  // completion bookkeeping (release level ownership, update the drain-rate
+  // estimate, claim and dispatch any newly runnable work).
+  void BackgroundJob(CompactionJob job, bool on_pool);
 
-  // Synchronous paths (write_mutex_ held, background drained).
-  Status MaybeCompactLocked();
+  // Entry-point bodies (write_mutex_ held): drain, seal or claim, dispatch,
+  // drain.
   Status FlushL0Locked();
   Status ForceFullCompactionLocked();
-  Status CompactIntoNextLocked(int src_level);
 
-  // Merge + publish + observer end + auto-checkpoint for one job. Runs on the
-  // writer thread (sync) or the background worker (async).
+  // Merge + publish + observer end + auto-checkpoint for one job. The only
+  // code that merges and publishes a level.
   Status RunCompaction(const CompactionJob& job);
 
   // Assigns a shipping stream + trace id to a just-claimed compaction.
@@ -593,15 +593,15 @@ class KvStore {
   const KvStoreOptions options_;
   const uint64_t l0_slowdown_entries_;
   const uint64_t l0_stop_entries_;
-  WorkerPool* pool_;  // non-const only for AdoptCompactionPool (promotion)
+  WorkerPool* const pool_;  // null = claimed jobs run inline
 
   std::unique_ptr<ValueLog> log_;
   std::unique_ptr<PageCache> cache_;
 
   // Lock hierarchy: write_mutex_ > mutex_ > (tail lock inside ValueLog).
-  // checkpoint_mutex_ is a leaf taken after write_mutex_ or alone (background
-  // job). Neither mutex_ nor write_mutex_ is ever held across merge I/O or
-  // observer callbacks.
+  // checkpoint_mutex_ is a leaf taken after write_mutex_ or alone (pool
+  // job). mutex_ is never held across merge I/O or observer callbacks;
+  // write_mutex_ is, exactly when a job runs inline (no pool).
   std::mutex write_mutex_;               // serializes writers + maintenance
   mutable std::mutex mutex_;             // state below
   std::condition_variable stall_cv_;     // signaled when imm_ drains
@@ -615,15 +615,14 @@ class KvStore {
   uint64_t imm_queued_at_ns_ = 0;
   uint64_t imm_bytes_ = 0;               // log bytes appended into imm_
   // levels_[0] unused (L0 is the memtable); levels_[1..max_levels] on device.
-  // Entries are never null. Only the job owning a level (or the writer thread
-  // in sync paths, with the background drained) replaces it.
+  // Entries are never null. Only the job owning a level replaces it.
   std::vector<TreeRef> levels_;
   // Level-ownership guard (PR 4): level_busy_[i] is set while a claimed job
   // owns level i. Index 0 doubles as the claim marker for the sealed memtable
   // (imm_ stays non-null until its job publishes, so "imm_ && !level_busy_[0]"
   // means an unclaimed spill).
   std::vector<bool> level_busy_;
-  int bg_jobs_ = 0;                      // claimed-but-unfinished background jobs
+  int bg_jobs_ = 0;                      // claimed-but-unfinished jobs (+ scrubs)
   Status bg_error_;                      // sticky
   size_t l0_replay_from_ = 0;            // first flushed segment not in levels
 

@@ -137,10 +137,12 @@ void WorkerPool::WorkerLoop(Worker* worker) {
       if (!worker->queue.empty()) {
         task = std::move(worker->queue.front());
         worker->queue.pop_front();
+        // Busy before the lock drops: Drain() must never see the task
+        // neither queued nor running.
+        worker->busy.store(true, std::memory_order_release);
       }
     }
     if (task) {
-      worker->busy.store(true, std::memory_order_release);
       task();
       worker->busy.store(false, std::memory_order_release);
       tasks_executed_.fetch_add(1, std::memory_order_relaxed);

@@ -45,13 +45,17 @@ StatusOr<std::unique_ptr<PrimaryRegion>> PrimaryRegion::CreateFromStore(
 PrimaryRegion::PrimaryRegion(BlockDevice* device, ReplicationMode mode)
     : device_(device), mode_(mode) {}
 
+PrimaryRegion::~PrimaryRegion() {
+  if (store_ != nullptr) {
+    (void)store_->WaitForBackgroundWork();
+  }
+}
+
 void PrimaryRegion::InitTelemetry() {
   MetricsRegistry* reg = store_->telemetry()->metrics();
   const MetricLabels& l = store_->options().telemetry_labels;
   node_name_ = NodeLabel(l);
   repl_.log_replication_cpu_ns = reg->GetCounter("repl.log_replication_cpu_ns", l);
-  repl_.log_flush_in_compaction_cpu_ns =
-      reg->GetCounter("repl.log_flush_in_compaction_cpu_ns", l);
   repl_.send_index_cpu_ns = reg->GetCounter("repl.send_index_cpu_ns", l);
   repl_.log_records_replicated = reg->GetCounter("repl.log_records_replicated", l);
   repl_.log_flushes = reg->GetCounter("repl.log_flushes", l);
@@ -75,7 +79,6 @@ void PrimaryRegion::InitTelemetry() {
 ReplicationStats PrimaryRegion::replication_stats() const {
   ReplicationStats s;
   s.log_replication_cpu_ns = repl_.log_replication_cpu_ns->Value();
-  s.log_flush_in_compaction_cpu_ns = repl_.log_flush_in_compaction_cpu_ns->Value();
   s.send_index_cpu_ns = repl_.send_index_cpu_ns->Value();
   s.log_records_replicated = repl_.log_records_replicated->Value();
   s.log_flushes = repl_.log_flushes->Value();
@@ -741,23 +744,18 @@ void PrimaryRegion::OnTailFlush(SegmentId tail_segment, Slice segment_bytes) {
   uint64_t cpu_ns = 0;
   {
     ScopedCpuTimer timer(&cpu_ns);
-    const uint64_t start = ThreadCpuNanos();
-    // A flush forced by a sync-mode compaction begin is part of that
-    // compaction's stream; ordinary data-plane flushes are stream-less.
-    const StreamId stream = in_compaction_begin_ ? in_begin_stream_ : kNoStream;
+    // Flushes are data-plane events on the writer thread, never part of a
+    // compaction's stream.
     const uint64_t commit_seq = commit_seq_;
     for (auto& slot : backups_) {
       Status status = GuardedCall(slot, kNoStream, [&] {
-        return slot->channel->FlushLog(tail_segment, stream, commit_seq);
+        return slot->channel->FlushLog(tail_segment, kNoStream, commit_seq);
       });
       if (!StruckOutLocked(*slot, kNoStream)) {
         Park(status);
       }
     }
     DetachStruckBackupsLocked();
-    if (in_compaction_begin_) {
-      repl_.log_flush_in_compaction_cpu_ns->Add(ThreadCpuNanos() - start);
-    }
   }
   repl_.log_replication_cpu_ns->Add(cpu_ns);
   repl_.log_flushes->Increment();
@@ -771,11 +769,11 @@ void PrimaryRegion::OnLargeTailFlush(SegmentId tail_segment, Slice segment_bytes
   uint64_t cpu_ns = 0;
   {
     ScopedCpuTimer timer(&cpu_ns);
-    const StreamId stream = in_compaction_begin_ ? in_begin_stream_ : kNoStream;
     const uint64_t commit_seq = commit_seq_;
     for (auto& slot : backups_) {
       Status status = GuardedCall(slot, kNoStream, [&] {
-        return slot->channel->FlushLogFamily(tail_segment, kLargeLogFamily, stream, commit_seq);
+        return slot->channel->FlushLogFamily(tail_segment, kLargeLogFamily, kNoStream,
+                                             commit_seq);
       });
       if (!StruckOutLocked(*slot, kNoStream)) {
         Park(status);
@@ -795,26 +793,14 @@ void PrimaryRegion::OnCompactionBegin(const CompactionInfo& info) {
   {
     std::lock_guard<std::recursive_mutex> lock(region_mutex_);
     stream = RegisterStreamLocked(info);
-    // Every log offset the compaction will emit must already be flushed (and
-    // therefore mapped on the backups): seal the tail first. Done even
-    // without backups so the L0 boundary stays exact for later FullSyncs.
-    // Background jobs arrive with tail_sealed set — the engine already sealed
-    // the tail at the L0 spill that started the chain, and this callback runs
-    // off the writer thread where flushing would race live appends.
-    if (!info.tail_sealed) {
-      in_compaction_begin_ = true;
-      in_begin_stream_ = stream;
-      Park(store_->value_log()->FlushTail());
-      in_begin_stream_ = kNoStream;
-      in_compaction_begin_ = false;
-    }
+    // Every log offset the compaction will emit is already flushed (and
+    // therefore mapped on the backups): the engine sealed the tail on the
+    // writer thread at the L0 spill that started the chain.
     if (info.src_level == 0) {
-      // With a pre-sealed tail the writer may have flushed more segments
-      // since the seal; those records live in the *new* memtable, so the
-      // boundary is the seal-time count the engine captured, not the current
-      // one.
-      l0_boundary_ =
-          info.tail_sealed ? info.l0_boundary : store_->value_log()->flushed_segment_count();
+      // The writer may have flushed more segments since the seal; those
+      // records live in the *new* memtable, so the boundary is the seal-time
+      // count the engine captured, not the current one.
+      l0_boundary_ = info.l0_boundary;
     }
     ship = !backups_.empty() && mode_ == ReplicationMode::kSendIndex;
   }

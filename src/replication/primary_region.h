@@ -47,10 +47,6 @@ const char* ReplicationModeName(ReplicationMode mode);
 // and bench harnesses read one coherent copy.
 struct ReplicationStats {
   uint64_t log_replication_cpu_ns = 0;  // Table 3 "KV log replication"
-  // Portion of log_replication_cpu_ns spent in the tail flush that a
-  // compaction begin forces (nested inside the compaction timer; used to
-  // peel exclusive Table-3 buckets).
-  uint64_t log_flush_in_compaction_cpu_ns = 0;
   uint64_t send_index_cpu_ns = 0;       // Table 3 "Send index"
   uint64_t log_records_replicated = 0;
   uint64_t log_flushes = 0;
@@ -94,6 +90,10 @@ class PrimaryRegion : public ValueLogObserver, public CompactionObserver {
   // Promotion path (§3.5): wraps an engine produced by a backup's Promote().
   static StatusOr<std::unique_ptr<PrimaryRegion>> CreateFromStore(
       BlockDevice* device, ReplicationMode mode, std::unique_ptr<KvStore> store);
+
+  // Drains the engine's pool compactions first: until they finish they call
+  // back into this region, and through it into the backups.
+  ~PrimaryRegion() override;
 
   PrimaryRegion(const PrimaryRegion&) = delete;
   PrimaryRegion& operator=(const PrimaryRegion&) = delete;
@@ -234,7 +234,6 @@ class PrimaryRegion : public ValueLogObserver, public CompactionObserver {
   // engine's telemetry plane (same labels as the store).
   struct ReplInstruments {
     Counter* log_replication_cpu_ns = nullptr;
-    Counter* log_flush_in_compaction_cpu_ns = nullptr;
     Counter* send_index_cpu_ns = nullptr;
     Counter* log_records_replicated = nullptr;
     Counter* log_flushes = nullptr;
@@ -328,8 +327,8 @@ class PrimaryRegion : public ValueLogObserver, public CompactionObserver {
   std::unique_ptr<KvStore> store_;
 
   // Serializes region state: the backup set, stream table, parked error and
-  // stats (recursive because an L0 compaction begin flushes the tail, which
-  // re-enters through OnTailFlush). NOT held across compaction-plane channel
+  // stats (recursive because the data-plane fan-outs hold it across
+  // GuardedCall, whose bookkeeping re-takes it). NOT held across compaction-plane channel
   // calls — that is what lets N streams ship concurrently. Never held across
   // a call back into the engine.
   mutable std::recursive_mutex region_mutex_;
@@ -345,10 +344,6 @@ class PrimaryRegion : public ValueLogObserver, public CompactionObserver {
   uint64_t commit_seq_ = 0;
   size_t l0_boundary_ = 0;
   uint64_t next_sync_id_ = 1ull << 62;  // synthetic compaction ids for FullSync
-  bool in_compaction_begin_ = false;    // attributes nested tail flushes
-  // Stream the in-progress sync-mode compaction begin runs on; a tail flush
-  // nested inside it is tagged with this stream.
-  StreamId in_begin_stream_ = kNoStream;
   // Shipping-stream table: compaction id -> (stream, allocator-owned).
   StreamIdAllocator stream_ids_;
   std::map<uint64_t, std::pair<StreamId, bool>> compaction_streams_;

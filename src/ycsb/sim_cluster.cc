@@ -102,7 +102,7 @@ StatusOr<std::unique_ptr<SimCluster>> SimCluster::Create(const SimClusterOptions
     region.primary_node = info.primary;
     const int primary_server = static_cast<int>(info.region_id) % options.num_servers;
     KvStoreOptions primary_kv = cluster->options_.kv_options;
-    primary_kv.compaction_pool = cluster->compaction_pool_.get();  // null = synchronous
+    primary_kv.compaction_pool = cluster->compaction_pool_.get();  // null = inline
     primary_kv.telemetry = cluster->telemetry_.get();
     primary_kv.telemetry_labels = StoreLabels(cluster->options_.kv_options.telemetry_labels,
                                               info.primary, info.region_id, "primary");
@@ -380,7 +380,6 @@ ClusterCpuBreakdown SimCluster::CpuBreakdownFrom(const MetricsSnapshot& snap) {
   out.compaction_build_ns = snap.Sum("kv.compaction_build_ns", "role", "primary");
   out.compaction_ship_ns = snap.Sum("kv.compaction_ship_ns", "role", "primary");
   out.log_replication_ns = snap.Sum("repl.log_replication_cpu_ns");
-  out.log_flush_in_compaction_ns = snap.Sum("repl.log_flush_in_compaction_cpu_ns");
   out.send_index_ns = snap.Sum("repl.send_index_cpu_ns");
   out.rewrite_index_ns = snap.Sum("backup.rewrite_cpu_ns");
   out.backup_insert_ns = snap.Sum("backup.insert_cpu_ns");

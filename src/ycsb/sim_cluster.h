@@ -35,9 +35,10 @@ struct SimClusterOptions {
   uint32_t num_regions = 8;   // paper: 32; scaled with the dataset
   int replication_factor = 2; // 1 => No-Replication
   ReplicationMode mode = ReplicationMode::kSendIndex;
-  // Background compaction workers shared by every primary store (PR 2).
-  // 0 = synchronous compactions (the seed behavior). Backup stores always
-  // compact synchronously (their work is driven by replication messages).
+  // Compaction workers shared by every primary store (PR 2). 0 = no pool:
+  // each compaction runs inline on the thread that claimed it. Build-Index
+  // backup stores never get the pool; their compactions run inline on the
+  // replication call that triggered them.
   int compaction_workers = 0;
   KvStoreOptions kv_options;
   BlockDeviceOptions device_options;
@@ -62,7 +63,6 @@ struct SimClusterOptions {
 struct ClusterCpuBreakdown {
   uint64_t insert_l0_ns = 0;        // primary put path (incl. log replication)
   uint64_t log_replication_ns = 0;  // incl. backup flush handling
-  uint64_t log_flush_in_compaction_ns = 0;  // flushes forced by compaction begins
   uint64_t compaction_ns = 0;       // primary compactions (incl. shipping)
   uint64_t send_index_ns = 0;       // incl. backup rewrite (direct channel)
   uint64_t rewrite_index_ns = 0;
@@ -160,9 +160,12 @@ class SimCluster {
   struct Region {
     uint32_t id;
     std::string primary_node;  // hosting server name, for span attribution
-    std::unique_ptr<PrimaryRegion> primary;
+    // Declared before the primary, so they are destroyed after it: the
+    // primary's teardown waits for its pool compactions, which may still be
+    // shipping index segments to these backups.
     std::vector<std::unique_ptr<SendIndexBackupRegion>> send_backups;
     std::vector<std::unique_ptr<BuildIndexBackupRegion>> build_backups;
+    std::unique_ptr<PrimaryRegion> primary;
   };
 
   explicit SimCluster(const SimClusterOptions& options);

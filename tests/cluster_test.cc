@@ -205,8 +205,9 @@ TEST(RegionMapTest, RejectsBadParameters) {
 class ClusterFixture {
  public:
   explicit ClusterFixture(ReplicationMode mode, int num_servers = 3, uint32_t num_regions = 4,
-                          int replication_factor = 2) {
+                          int replication_factor = 2, int compaction_workers = 0) {
     RegionServerOptions options;
+    options.compaction_workers = compaction_workers;
     options.device_options.segment_size = kSegmentSize;
     options.device_options.max_segments = 1 << 16;
     options.kv_options.l0_max_entries = 256;
@@ -449,6 +450,60 @@ TEST(FailoverTest, PrimaryFailurePromotesBackupAndClientRecovers) {
   for (int i = 0; i < 500; ++i) {
     ASSERT_TRUE(client->Put(ClusterFixture::Key(i % 600), "post-crash").ok());
   }
+}
+
+TEST(FailoverTest, PromotedRegionCompactsOnTheServerPool) {
+  // A Send-Index backup's promoted engine is built with the server's
+  // compaction pool: its compactions run there, not on the request worker.
+  ClusterFixture cluster(ReplicationMode::kSendIndex, 3, 3, /*replication_factor=*/2,
+                         /*compaction_workers=*/2);
+  auto client = cluster.MakeClient("client0");
+  for (int i = 0; i < 300; ++i) {
+    ASSERT_TRUE(client->Put(ClusterFixture::Key(i), "pre-crash").ok());
+  }
+  const std::shared_ptr<const RegionMap> before = cluster.master->current_map();
+  const RegionInfo* promoted = nullptr;
+  for (const auto& region : before->regions()) {
+    if (region.primary == "server0") {
+      promoted = &region;
+    }
+  }
+  ASSERT_NE(promoted, nullptr);
+  cluster.servers[0]->Crash();
+  const std::shared_ptr<const RegionMap> after = cluster.master->current_map();
+  std::string new_primary;
+  for (const auto& region : after->regions()) {
+    if (region.region_id == promoted->region_id) {
+      new_primary = region.primary;
+    }
+  }
+  ASSERT_NE(new_primary, "");
+  ASSERT_NE(new_primary, "server0");
+  RegionServer* server = cluster.directory[new_primary];
+  ASSERT_TRUE(server->IsPrimaryFor(promoted->region_id));
+  const std::string region_label = std::to_string(promoted->region_id);
+  const uint64_t before_writes =
+      server->telemetry()->Snapshot().Sum("kv.background_compactions", "region", region_label);
+
+  // Write well past l0_max_entries (256) into the promoted region.
+  int written = 0;
+  for (uint64_t i = 0; written < 2000; ++i) {
+    const std::string key = ClusterFixture::Key(i);
+    if (!promoted->Contains(key)) {
+      continue;
+    }
+    ASSERT_TRUE(client->Put(key, "post-crash-" + std::to_string(i)).ok());
+    written++;
+  }
+  uint64_t background = 0;
+  for (int tries = 0; tries < 1000 && background == before_writes; ++tries) {
+    background =
+        server->telemetry()->Snapshot().Sum("kv.background_compactions", "region", region_label);
+    if (background == before_writes) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  }
+  EXPECT_GT(background, before_writes);
 }
 
 TEST(FailoverTest, BackupFailureTransfersDataToReplacement) {

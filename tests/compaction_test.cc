@@ -1,12 +1,17 @@
 // The prefix-ordered compaction merge: differential checks of merged levels
-// against BTreeBuilder runs over a std::map model, and the merge's value-log
-// read budget.
+// against BTreeBuilder runs over a std::map model (with and without a
+// compaction pool), the scheduler's inline-vs-pool differential, and the
+// merge's value-log read budget.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
+#include <mutex>
+#include <ostream>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/common/random.h"
@@ -14,6 +19,7 @@
 #include "src/lsm/compaction.h"
 #include "src/lsm/kv_store.h"
 #include "src/net/fabric.h"
+#include "src/net/worker_pool.h"
 #include "src/replication/local_backup_channel.h"
 #include "src/replication/primary_region.h"
 #include "src/replication/send_index_backup.h"
@@ -171,17 +177,49 @@ bool AnyLevelHasCompanion(KvStore* store, bool want) {
   return false;
 }
 
-class PrefixMergeDifferentialTest : public testing::TestWithParam<uint64_t> {};
+// One differential run: a seed and the compaction executor (0 workers = no
+// pool, jobs run inline on the claiming thread). Printed as the seed alone;
+// the instantiation name tells the executors apart.
+struct DiffParam {
+  uint64_t seed;
+  int workers;
+};
+
+void PrintTo(const DiffParam& p, std::ostream* os) { *os << p.seed; }
+
+class PrefixMergeDifferentialTest : public testing::TestWithParam<DiffParam> {
+ protected:
+  void SetUp() override {
+    if (GetParam().workers > 0) {
+      pool_ = std::make_unique<WorkerPool>(GetParam().workers);
+      pool_->Start();
+    }
+  }
+  void TearDown() override {
+    if (pool_ != nullptr) {
+      pool_->Stop();
+    }
+  }
+  uint64_t seed() const { return GetParam().seed; }
+  KvStoreOptions Options() const {
+    KvStoreOptions opts = StoreOptions();
+    opts.compaction_pool = pool_.get();
+    return opts;
+  }
+
+  std::unique_ptr<WorkerPool> pool_;
+};
 
 TEST_P(PrefixMergeDifferentialTest, MergesWithCompanionsMatchModel) {
-  Random rng(GetParam());
+  Random rng(seed());
   const std::vector<std::string> pool = KeyPool(&rng, 700);
   auto device = MakeDevice();
-  auto store = KvStore::Create(device.get(), StoreOptions());
+  auto store = KvStore::Create(device.get(), Options());
   ASSERT_TRUE(store.ok());
   RunHistory(store->get(), pool, &rng, 3000);
   ASSERT_TRUE((*store)->ForceFullCompaction().ok());
   RunHistory(store->get(), pool, &rng, 1500);
+  ASSERT_TRUE((*store)->WaitForBackgroundWork().ok());
   // The levels the final merges read carry their companions.
   EXPECT_TRUE(AnyLevelHasCompanion(store->get(), true));
   EXPECT_FALSE(AnyLevelHasCompanion(store->get(), false));
@@ -192,16 +230,19 @@ TEST_P(PrefixMergeDifferentialTest, MergesWithCompanionsMatchModel) {
 }
 
 TEST_P(PrefixMergeDifferentialTest, MergesOfCheckpointRecoveredLevelsMatchModel) {
-  Random rng(GetParam());
+  Random rng(seed());
   const std::vector<std::string> pool = KeyPool(&rng, 700);
   auto device = MakeDevice();
   SegmentId checkpoint;
   {
-    auto store = KvStore::Create(device.get(), StoreOptions());
+    auto store = KvStore::Create(device.get(), Options());
     ASSERT_TRUE(store.ok());
     RunHistory(store->get(), pool, &rng, 3000);
     ASSERT_TRUE((*store)->ForceFullCompaction().ok());
     RunHistory(store->get(), pool, &rng, 800);
+    // Quiesce first: a compaction finishing after the checkpoint would free
+    // segments the checkpoint still names.
+    ASSERT_TRUE((*store)->WaitForBackgroundWork().ok());
     ASSERT_TRUE((*store)->value_log()->FlushTail().ok());
     auto cp = (*store)->Checkpoint();
     ASSERT_TRUE(cp.ok());
@@ -209,7 +250,7 @@ TEST_P(PrefixMergeDifferentialTest, MergesOfCheckpointRecoveredLevelsMatchModel)
   }
   auto recovered_device = device->CloneContents();
   ASSERT_TRUE(recovered_device.ok());
-  auto store = KvStore::Recover(recovered_device->get(), StoreOptions(), checkpoint);
+  auto store = KvStore::Recover(recovered_device->get(), Options(), checkpoint);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   // Companions are never persisted: every recovered level merges without one.
   EXPECT_FALSE(AnyLevelHasCompanion(store->get(), true));
@@ -222,22 +263,24 @@ TEST_P(PrefixMergeDifferentialTest, MergesOfCheckpointRecoveredLevelsMatchModel)
 }
 
 TEST_P(PrefixMergeDifferentialTest, MergesOfPromotedSendIndexLevelsMatchModel) {
-  Random rng(GetParam());
+  Random rng(seed());
   const std::vector<std::string> pool = KeyPool(&rng, 700);
   Fabric fabric;
   auto primary_device = MakeDevice();
   auto backup_device = MakeDevice();
   auto primary =
-      PrimaryRegion::Create(primary_device.get(), StoreOptions(), ReplicationMode::kSendIndex);
+      PrimaryRegion::Create(primary_device.get(), Options(), ReplicationMode::kSendIndex);
   ASSERT_TRUE(primary.ok());
   auto buffer = fabric.RegisterBuffer("backup0", "primary0", kSegmentSize);
-  auto backup = SendIndexBackupRegion::Create(backup_device.get(), StoreOptions(), buffer);
+  // The backup's options carry the executor its promoted engine compacts on.
+  auto backup = SendIndexBackupRegion::Create(backup_device.get(), Options(), buffer);
   ASSERT_TRUE(backup.ok());
   (*primary)->AddBackup(std::make_unique<LocalBackupChannel>(&fabric, "primary0", buffer,
                                                              backup->get(), nullptr));
   RunHistory(primary->get(), pool, &rng, 3000);
   ASSERT_TRUE((*primary)->store()->ForceFullCompaction().ok());
   RunHistory(primary->get(), pool, &rng, 800);
+  ASSERT_TRUE((*primary)->store()->WaitForBackgroundWork().ok());
 
   auto promoted = (*backup)->Promote();
   ASSERT_TRUE(promoted.ok()) << promoted.status().ToString();
@@ -249,9 +292,158 @@ TEST_P(PrefixMergeDifferentialTest, MergesOfPromotedSendIndexLevelsMatchModel) {
   const auto model = ModelFromLog(promoted->get(), backup_device.get());
   ExpectLastLevelMatchesModel(backup_device.get(), (*promoted)->level(3), model,
                               StoreOptions().filter_bits_per_key);
+  // The promoted engine kept the executor: with a pool, its merges ran there.
+  EXPECT_EQ((*promoted)->stats().background_compactions > 0, GetParam().workers > 0);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, PrefixMergeDifferentialTest, testing::Values(1, 2, 3));
+INSTANTIATE_TEST_SUITE_P(Seeds, PrefixMergeDifferentialTest,
+                         testing::Values(DiffParam{1, 0}, DiffParam{2, 0}, DiffParam{3, 0}));
+INSTANTIATE_TEST_SUITE_P(PooledSeeds, PrefixMergeDifferentialTest,
+                         testing::Values(DiffParam{1, 2}, DiffParam{2, 2}, DiffParam{3, 2}));
+
+// --- one scheduler: inline and pooled executors run the same compactions --------
+
+// Records what a store ships: the (src, dst) of every begin, every index
+// segment's bytes, and every published level's segment CRCs and filter.
+class RecordingObserver : public CompactionObserver {
+ public:
+  struct Segment {
+    int dst_level;
+    int tree_level;
+    SegmentId segment;
+    std::string bytes;
+    bool operator==(const Segment& o) const {
+      return std::tie(dst_level, tree_level, segment, bytes) ==
+             std::tie(o.dst_level, o.tree_level, o.segment, o.bytes);
+    }
+  };
+  struct Publish {
+    int dst_level;
+    std::vector<SegmentChecksum> crcs;
+    std::string filter;
+    bool operator==(const Publish& o) const {
+      return std::tie(dst_level, crcs, filter) == std::tie(o.dst_level, o.crcs, o.filter);
+    }
+  };
+
+  void OnCompactionBegin(const CompactionInfo& info) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    begins.emplace_back(info.src_level, info.dst_level);
+  }
+  void OnIndexSegment(const CompactionInfo& info, int tree_level, SegmentId segment,
+                      Slice bytes) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    segments.push_back(Segment{info.dst_level, tree_level, segment, bytes.ToString()});
+  }
+  void OnCompactionEnd(const CompactionInfo& info, const BuiltTree& tree) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    publishes.push_back(Publish{info.dst_level, tree.seg_checksums,
+                                tree.filter != nullptr ? *tree.filter : std::string()});
+  }
+
+  std::vector<std::pair<int, int>> begins;
+  std::vector<Segment> segments;
+  std::vector<Publish> publishes;
+
+ private:
+  std::mutex mu_;
+};
+
+struct SchedulerRun {
+  std::unique_ptr<BlockDevice> device = MakeDevice();
+  RecordingObserver observer;
+  std::unique_ptr<KvStore> store;
+};
+
+// A seeded history of puts, deletes, FlushL0 and ForceFullCompaction. With a
+// pool, every op is followed by WaitForBackgroundWork, which makes the pooled
+// run's compaction order the inline run's.
+void RunSchedulerHistory(SchedulerRun* run, WorkerPool* pool, uint64_t seed) {
+  KvStoreOptions opts = StoreOptions();
+  opts.compaction_pool = pool;
+  auto store = KvStore::Create(run->device.get(), opts);
+  ASSERT_TRUE(store.ok());
+  run->store = std::move(*store);
+  run->store->set_compaction_observer(&run->observer);
+  Random rng(seed);
+  const std::vector<std::string> keys = KeyPool(&rng, 700);
+  for (int i = 0; i < 6000; ++i) {
+    const uint64_t op = rng.Uniform(1000);
+    const std::string& key = keys[rng.Uniform(keys.size())];
+    if (op < 4) {
+      ASSERT_TRUE(run->store->FlushL0().ok()) << i;
+    } else if (op < 6) {
+      ASSERT_TRUE(run->store->ForceFullCompaction().ok()) << i;
+    } else if (op < 250) {
+      ASSERT_TRUE(run->store->Delete(key).ok()) << i;
+    } else {
+      ASSERT_TRUE(run->store->Put(key, "v" + std::to_string(i) + rng.Bytes(rng.Uniform(24))).ok())
+          << i;
+    }
+    if (pool != nullptr) {
+      ASSERT_TRUE(run->store->WaitForBackgroundWork().ok()) << i;
+    }
+  }
+  ASSERT_TRUE(run->store->WaitForBackgroundWork().ok());
+}
+
+class SchedulerDifferentialTest : public testing::TestWithParam<uint64_t> {};
+
+TEST_P(SchedulerDifferentialTest, InlineAndPooledRunsShipIdenticalCompactions) {
+  SchedulerRun inline_run;
+  RunSchedulerHistory(&inline_run, nullptr, GetParam());
+  WorkerPool pool(2);
+  pool.Start();
+  SchedulerRun pooled_run;
+  RunSchedulerHistory(&pooled_run, &pool, GetParam());
+
+  const RecordingObserver& a = inline_run.observer;
+  const RecordingObserver& b = pooled_run.observer;
+  // Cascades happened, on the claiming thread in one run and on the pool in
+  // the other.
+  ASSERT_GT(a.begins.size(), 20u);
+  EXPECT_TRUE(std::find(a.begins.begin(), a.begins.end(), std::make_pair(2, 3)) !=
+              a.begins.end());
+  const KvStoreStats inline_stats = inline_run.store->stats();
+  const KvStoreStats pooled_stats = pooled_run.store->stats();
+  EXPECT_EQ(inline_stats.background_compactions, 0u);
+  EXPECT_EQ(pooled_stats.background_compactions, pooled_stats.compactions);
+  EXPECT_EQ(inline_stats.compactions, pooled_stats.compactions);
+
+  EXPECT_EQ(a.begins, b.begins);
+  ASSERT_EQ(a.segments.size(), b.segments.size());
+  for (size_t i = 0; i < a.segments.size(); ++i) {
+    EXPECT_TRUE(a.segments[i] == b.segments[i]) << "shipped segment " << i << " differs";
+  }
+  ASSERT_EQ(a.publishes.size(), b.publishes.size());
+  for (size_t i = 0; i < a.publishes.size(); ++i) {
+    EXPECT_TRUE(a.publishes[i] == b.publishes[i]) << "published level " << i << " differs";
+  }
+  for (uint32_t level = 1; level <= StoreOptions().max_levels; ++level) {
+    const BuiltTree& x = inline_run.store->level(level);
+    const BuiltTree& y = pooled_run.store->level(level);
+    EXPECT_EQ(x.segments, y.segments) << "L" << level;
+    EXPECT_EQ(x.seg_checksums, y.seg_checksums) << "L" << level;
+    EXPECT_EQ(x.filter != nullptr, y.filter != nullptr) << "L" << level;
+    if (x.filter != nullptr && y.filter != nullptr) {
+      EXPECT_TRUE(*x.filter == *y.filter) << "L" << level;
+    }
+  }
+  // And both serve the same reads.
+  Random rng(GetParam());
+  for (const std::string& key : KeyPool(&rng, 700)) {
+    auto x = inline_run.store->Get(key);
+    auto y = pooled_run.store->Get(key);
+    ASSERT_EQ(x.ok(), y.ok()) << key;
+    if (x.ok()) {
+      EXPECT_EQ(*x, *y);
+    }
+  }
+  pooled_run.store.reset();  // drains before the pool stops
+  pool.Stop();
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SchedulerDifferentialTest, testing::Values(1, 2, 3));
 
 // --- value-log reads of one merge --------------------------------------------------
 

@@ -295,6 +295,40 @@ TEST(IntegrityScrubTest, ScheduledScrubRunsInBackground) {
   pool.Stop();
 }
 
+TEST(IntegrityScrubTest, ScheduledScrubWithoutPoolRunsInline) {
+  // No compaction pool: the scrub runs on the calling thread, and `done`
+  // has the report before ScheduleScrub returns.
+  FaultInjector injector;
+  auto device = MakeDevice("dev0");
+  device->set_fault_hook(&injector);
+  auto store_or = KvStore::Create(device.get(), SmallOptions());
+  ASSERT_TRUE(store_or.ok());
+  auto store = std::move(*store_or);
+  for (int i = 0; i < 2000; ++i) {
+    ASSERT_TRUE(store->Put(Key(i % 1000), ValueFor(i)).ok());
+  }
+  ASSERT_TRUE(store->FlushL0().ok());
+  const int level = DeepestChecksummedLevel(*store, SmallOptions().max_levels);
+  ASSERT_GE(level, 1);
+  BurnFlipsIntoSegment(device.get(), &injector, store->level(level), 0);
+
+  bool called = false;
+  KvStore::ScrubReport got;
+  ASSERT_TRUE(store
+                  ->ScheduleScrub(KvStore::ScrubOptions(),
+                                  [&](const StatusOr<KvStore::ScrubReport>& report) {
+                                    ASSERT_TRUE(report.ok());
+                                    got = *report;
+                                    called = true;
+                                  })
+                  .ok());
+  ASSERT_TRUE(called);
+  EXPECT_GE(got.corruptions_found, 1u);
+  EXPECT_EQ(got.quarantined_levels, std::vector<int>{level});
+  EXPECT_EQ(store->QuarantinedLevels(), std::vector<int>{level});
+  EXPECT_TRUE(store->WaitForBackgroundWork().ok());
+}
+
 TEST(IntegrityScrubTest, ScrubPacingThrottlesBandwidth) {
   auto ls = MakeLoadedStore("dev0");
   auto unpaced = ls.store->Scrub();

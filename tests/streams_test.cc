@@ -192,6 +192,32 @@ TEST(ShippingStreamsTest, MultiplexedShippingKeepsBackupsConsistent) {
   EXPECT_GE(background, 1u);
 }
 
+TEST(ShippingStreamsTest, ClusterTeardownWaitsForInFlightShipping) {
+  // Destroy the cluster right after the last put, with pool compactions
+  // still shipping to the backups: each primary must drain them before its
+  // backups go away (an ASan build reports the use-after-free otherwise).
+  SimClusterOptions options;
+  options.num_servers = 3;
+  options.num_regions = 2;
+  options.replication_factor = 2;
+  options.mode = ReplicationMode::kSendIndex;
+  options.compaction_workers = 2;
+  options.kv_options.l0_max_entries = 64;
+  options.kv_options.growth_factor = 2;
+  options.kv_options.max_levels = 3;
+  options.device_options.segment_size = kSegmentSize;
+  options.device_options.max_segments = 1 << 16;
+  options.key_space = 8192;
+  for (int round = 0; round < 5; ++round) {
+    auto cluster_or = SimCluster::Create(options);
+    ASSERT_TRUE(cluster_or.ok());
+    auto cluster = std::move(*cluster_or);
+    for (uint64_t i = 0; i < 1500; ++i) {
+      ASSERT_TRUE(cluster->Put(UserKey(i), Value(static_cast<int>(i))).ok());
+    }
+  }
+}
+
 // --- transient per-stream faults are absorbed by retries --------------------
 
 TEST(ShippingStreamsTest, TransientStreamFaultsAreRetried) {
